@@ -27,14 +27,13 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_load.hh"
 #include "cluster/router.hh"
 #include "cluster/worker.hh"
 #include "common/table.hh"
 #include "io/tie_format.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
-#include "serve/multi_tenant.hh"
+#include "serve/load_gen.hh"
 #include "tt/tt_matrix.hh"
 #include "tune/zoo.hh"
 
@@ -46,7 +45,7 @@ struct SweepPoint
 {
     std::string label;
     size_t replicas = 1;
-    cluster::ClusterLoadOptions load;
+    serve::LoadGenOptions load;
     serve::LoadGenReport report;
     cluster::RouterStats stats;
 };
@@ -97,12 +96,12 @@ runZooSweep(const std::string &zoo_dir, bool quick)
     }
     const std::string dir = dir_tmpl;
 
-    cluster::ClusterLoadOptions lopts;
+    serve::LoadGenOptions lopts;
     lopts.requests = quick ? 64 : 512;
     lopts.clients = 4;
     lopts.seed = 42;
 
-    std::vector<std::vector<std::vector<double>>> expected;
+    serve::LaneOutputs expected;
     std::vector<std::unique_ptr<cluster::ClusterWorker>> workers;
     std::vector<std::unique_ptr<cluster::Router>> routers;
     for (size_t k = 0; k < n_models; ++k) {
@@ -140,8 +139,9 @@ runZooSweep(const std::string &zoo_dir, bool quick)
     std::vector<cluster::Router *> router_ptrs;
     for (const auto &r : routers)
         router_ptrs.push_back(r.get());
-    const cluster::MixedClusterReport rep =
-        cluster::runMixedClusterLoad(router_ptrs, lopts, &expected);
+    cluster::RouterTarget target(router_ptrs);
+    const serve::LoadReport rep =
+        serve::runLoadGen(target, lopts, &expected);
 
     for (auto &r : routers)
         r->stop();
@@ -257,8 +257,8 @@ main(int argc, char **argv)
     const uint64_t seed = 42;
     const size_t requests = quick ? 64 : 512;
     const io::TieModel oracle = io::TieModel::load(model_path);
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(oracle.layers(), seed, requests);
+    const serve::LaneOutputs expected = {
+        serve::referenceOutputs(oracle.layers(), seed, requests)};
 
     size_t mismatched = 0, lost = 0;
     std::vector<SweepPoint> points;
@@ -304,7 +304,8 @@ main(int argc, char **argv)
             std::cerr << "router start failed: " << err << "\n";
             return 1;
         }
-        p.report = runClusterLoad(router, p.load, &expected);
+        cluster::RouterTarget target({&router});
+        p.report = serve::runLoadGen(target, p.load, &expected).aggregate;
         p.stats = router.stats();
         router.stop();
         for (auto &w : workers)

@@ -341,29 +341,6 @@ BM_GemmF32_Isa(benchmark::State &state, simd::Isa isa)
 }
 
 void
-BM_GemmGatheredF32_Isa(benchmark::State &state, simd::Isa isa)
-{
-    Rng rng(12);
-    const size_t cols_out = kIsaN / 8; // 8 batch blocks
-    MatrixF a(kIsaM, kIsaK), v(kIsaK, kIsaN), c(kIsaM, kIsaN);
-    a.setUniform(rng, -1, 1);
-    v.setUniform(rng, -1, 1);
-    std::vector<size_t> offset(kIsaK * cols_out);
-    for (auto &o : offset)
-        o = static_cast<size_t>(
-            rng.intIn(0, static_cast<int64_t>(kIsaK * cols_out) - 1));
-    for (auto _ : state) {
-        c.fill(0.0f);
-        simd::gemmTileGatheredF32(isa, kIsaN, kIsaK, a.data(), v.data(),
-                                  offset.data(), cols_out,
-                                  kIsaK * cols_out, c.data(), 0, kIsaM,
-                                  0, kIsaN);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);
-}
-
-void
 BM_GemmF32_Packed(benchmark::State &state, simd::Isa isa, bool fast)
 {
     // Same operands as BM_GemmF32_Isa, consumed through the packed
@@ -387,8 +364,8 @@ BM_GemmF32_Packed(benchmark::State &state, simd::Isa isa, bool fast)
 void
 BM_GemmGatheredF32_Packed(benchmark::State &state, simd::Isa isa)
 {
-    // The gathered workload of BM_GemmGatheredF32_Isa through the
-    // pack-then-dense panel path (gemm::gemmPackedGatheredBlocked's
+    // A gathered B operand (8 batch blocks, random offsets) through
+    // the pack-then-dense panel path (gemm::gemmPackedGatheredBlocked's
     // inner loop, with the ISA explicit): gather each kColBlock-wide
     // panel of virtual B into contiguous scratch, then run the packed
     // microkernel on it.
@@ -463,11 +440,6 @@ registerIsaSweeps()
         benchmark::RegisterBenchmark(
             ("BM_GemmF32_Isa/" + name).c_str(),
             [isa](benchmark::State &s) { BM_GemmF32_Isa(s, isa); });
-        benchmark::RegisterBenchmark(
-            ("BM_GemmGatheredF32_Isa/" + name).c_str(),
-            [isa](benchmark::State &s) {
-                BM_GemmGatheredF32_Isa(s, isa);
-            });
         benchmark::RegisterBenchmark(
             ("BM_GemmF32_Packed/" + name).c_str(),
             [isa](benchmark::State &s) {

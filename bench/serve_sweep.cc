@@ -36,7 +36,6 @@
 #include "obs/report.hh"
 #include "serve/load_gen.hh"
 #include "serve/model_registry.hh"
-#include "serve/multi_tenant.hh"
 #include "serve/server.hh"
 #include "tt/tt_matrix.hh"
 #include "tune/zoo.hh"
@@ -144,7 +143,7 @@ runZooSweep(const std::string &zoo_dir, bool quick)
 
     // Per-tenant oracles straight from the artifacts the registry
     // serves (same bytes, separate mapping).
-    std::vector<std::vector<std::vector<double>>> expected;
+    LaneOutputs expected;
     for (size_t k = 0; k < n_models; ++k) {
         const ServableModel m = loadServable(
             zoo_dir + "/" + manifest.entries[k].file);
@@ -153,14 +152,14 @@ runZooSweep(const std::string &zoo_dir, bool quick)
     }
 
     size_t mismatched = 0;
-    std::vector<std::pair<size_t, MultiTenantReport>> points;
+    RegistryTarget target(registry, names);
+    std::vector<std::pair<size_t, LoadReport>> points;
     for (size_t clients : {size_t(1), size_t(4), size_t(8)}) {
-        MultiTenantOptions mo;
+        LoadGenOptions mo;
         mo.requests = requests;
         mo.clients = clients;
         mo.seed = seed;
-        points.emplace_back(
-            clients, runMultiTenant(registry, names, mo, &expected));
+        points.emplace_back(clients, runLoadGen(target, mo, &expected));
         mismatched += points.back().second.aggregate.mismatched;
     }
 
@@ -171,7 +170,7 @@ runZooSweep(const std::string &zoo_dir, bool quick)
                   "p50 us", "p99 us"});
         for (size_t k = 0; k < n_models; ++k) {
             const LoadGenReport &r = rep.per_model[k];
-            t.row({rep.models[k],
+            t.row({names[k],
                    std::to_string(r.completed) + "/" +
                        std::to_string(r.rejected) + "/" +
                        std::to_string(r.timed_out),
@@ -224,7 +223,7 @@ runZooSweep(const std::string &zoo_dir, bool quick)
             for (size_t k = 0; k < n_models; ++k) {
                 const LoadGenReport &r = rep.per_model[k];
                 w.beginObject();
-                w.field("model", rep.models[k]);
+                w.field("model", names[k]);
                 w.field("completed",
                         static_cast<uint64_t>(r.completed));
                 w.field("mismatched",
@@ -291,8 +290,8 @@ main(int argc, char **argv)
     const uint64_t seed = 42;
     const size_t closed_requests = quick ? 48 : 512;
     const size_t open_requests = quick ? 48 : 256;
-    const std::vector<std::vector<double>> expected = referenceOutputs(
-        model, seed, std::max(closed_requests, open_requests));
+    const LaneOutputs expected = {referenceOutputs(
+        model, seed, std::max(closed_requests, open_requests))};
 
     size_t mismatched = 0;
     std::vector<SweepPoint> closed, open;
@@ -314,7 +313,8 @@ main(int argc, char **argv)
             p.label = std::to_string(clients) + " cli, batch<=" +
                       std::to_string(policy.first);
             Server server(model, p.server);
-            p.report = runLoadGen(server, p.load, &expected);
+            ServerTarget target(server);
+            p.report = runLoadGen(target, p.load, &expected).aggregate;
             mismatched += p.report.mismatched;
             closed.push_back(p);
         }
@@ -334,7 +334,8 @@ main(int argc, char **argv)
         p.load.seed = seed;
         p.label = "offered " + std::to_string(size_t(qps)) + " qps";
         Server server(model, p.server);
-        p.report = runLoadGen(server, p.load, &expected);
+        ServerTarget target(server);
+        p.report = runLoadGen(target, p.load, &expected).aggregate;
         mismatched += p.report.mismatched;
         open.push_back(p);
     }
@@ -350,7 +351,8 @@ main(int argc, char **argv)
         p.load.seed = seed;
         p.label = "overload + 1.5 ms deadline";
         Server server(model, p.server);
-        p.report = runLoadGen(server, p.load, &expected);
+        ServerTarget target(server);
+        p.report = runLoadGen(target, p.load, &expected).aggregate;
         mismatched += p.report.mismatched;
         open.push_back(p);
     }

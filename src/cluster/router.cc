@@ -562,5 +562,36 @@ Router::stats() const
     return stats_;
 }
 
+RouterTarget::RouterTarget(std::vector<Router *> routers)
+    : routers_(std::move(routers))
+{
+    TIE_CHECK_ARG(!routers_.empty(), "router target: no routers");
+    for (size_t k = 0; k < routers_.size(); ++k)
+        TIE_CHECK_ARG(routers_[k] != nullptr,
+                      "router target: null router at slot ", k);
+}
+
+void
+RouterTarget::submit(size_t lane, const double *x, uint64_t deadline_us,
+                     serve::LoadTicket &t)
+{
+    t.id = routers_[lane]->submit(x, deadline_us).id;
+}
+
+serve::RequestStatus
+RouterTarget::wait(size_t lane, serve::LoadTicket &t,
+                   std::vector<double> *out, serve::RequestTiming *)
+{
+    switch (routers_[lane]->wait(ClusterTicket{t.id}, out)) {
+      case ClusterStatus::Done:
+        return serve::RequestStatus::Done;
+      case ClusterStatus::TimedOut:
+        return serve::RequestStatus::TimedOut;
+      case ClusterStatus::Shed:
+        break;
+    }
+    return serve::RequestStatus::Rejected;
+}
+
 } // namespace cluster
 } // namespace tie

@@ -5,10 +5,11 @@
  * fail-over.
  *
  * The client API mirrors serve::Server (submit -> ClusterTicket ->
- * wait), so the load generators drive a cluster exactly like a single
- * process. Internally each replica gets two connections: a data
- * connection (a receiver thread matches InferResponses to pending
- * requests by id) and a health connection (a monitor thread probes
+ * wait), so the load generator (serve/load_gen.hh, through
+ * RouterTarget) drives a cluster exactly like a single process.
+ * Internally each replica gets two connections: a data connection (a
+ * receiver thread matches InferResponses to pending requests by id)
+ * and a health connection (a monitor thread probes
  * HealthCheck/HealthReport on a period, marks replicas dead on
  * timeout/error, and keeps trying to reconnect dead ones — which is
  * how a chaos-restarted worker rejoins the fleet).
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "cluster/socket.hh"
+#include "serve/load_gen.hh"
 #include "serve/request.hh"
 
 namespace tie {
@@ -199,6 +201,35 @@ class Router
 
     mutable std::mutex stats_mu_;
     RouterStats stats_;
+};
+
+/**
+ * Routers as a load-generator target (serve::runLoadGen), one lane per
+ * router: Shed counts as Rejected, and since a router reports no
+ * RequestTiming the queue-wait and service summaries stay zero.
+ * Nothing is retried here — the router already failed over
+ * internally.
+ */
+class RouterTarget final : public serve::LoadTarget
+{
+  public:
+    explicit RouterTarget(std::vector<Router *> routers);
+
+    size_t lanes() const override { return routers_.size(); }
+    size_t
+    inSize(size_t lane) const override
+    {
+        return routers_[lane]->inSize();
+    }
+
+    void submit(size_t lane, const double *x, uint64_t deadline_us,
+                serve::LoadTicket &t) override;
+    serve::RequestStatus wait(size_t lane, serve::LoadTicket &t,
+                              std::vector<double> *out,
+                              serve::RequestTiming *timing) override;
+
+  private:
+    std::vector<Router *> routers_;
 };
 
 } // namespace cluster

@@ -240,6 +240,10 @@ serializeTieModel(const std::vector<TieLayerSpec> &layers)
                               "layer ", i, " stage ", h,
                               " fxp core view malformed");
             }
+            const size_t h = fxpChainBreak(s.fxp_fmt);
+            TIE_CHECK_ARG(h == 0, "layer ", i, " stage ", h,
+                          " act_out format does not match stage ",
+                          h - 1, " act_in format");
         }
         if (i + 1 < n_layers)
             TIE_CHECK_ARG(s.f64.cfg.outSize() ==
@@ -679,6 +683,10 @@ TieModel::Rep::parse(std::string *err)
             if (!c.exhausted())
                 return fail(strCat("layer ", i,
                                    ": trailing bytes in FxpMeta"));
+            if (const size_t h = fxpChainBreak(fmts))
+                return fail(strCat("layer ", i, " stage ", h,
+                                   ": act_out format does not match "
+                                   "stage ", h - 1, " act_in format"));
             if (i16_sec[i]->size != elems * sizeof(int16_t))
                 return fail(strCat("layer ", i, ": CoresI16 is ",
                                    i16_sec[i]->size,

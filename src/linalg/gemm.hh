@@ -182,88 +182,6 @@ struct GatherB
 };
 
 /**
- * C[i0:i1, j0:j1) += A[i0:i1, :] * B[:, j0:j1) where B is the gathered
- * view @p g over the source buffer @p v. Loop structure and k order are
- * identical to gemmTile, so fusing the gather changes no result bit.
- */
-template <typename T>
-inline void
-gemmTileGathered(size_t n, size_t k, const T *a, const T *v,
-                 const GatherB &g, T *c, size_t i0, size_t i1,
-                 size_t j0, size_t j1)
-{
-    if constexpr (std::is_same_v<T, float>) {
-        simd::gemmTileGatheredF32(simd::activeIsa(), n, k, a, v,
-                                  g.offset, g.cols_out, g.block_stride,
-                                  c, i0, i1, j0, j1);
-    } else if constexpr (std::is_same_v<T, double>) {
-        simd::gemmTileGatheredF64(simd::activeIsa(), n, k, a, v,
-                                  g.offset, g.cols_out, g.block_stride,
-                                  c, i0, i1, j0, j1);
-    } else {
-        for (size_t k0 = 0; k0 < k; k0 += kDepthBlock) {
-            const size_t k1 = std::min(k, k0 + kDepthBlock);
-            for (size_t i = i0; i < i1; ++i) {
-                const T *arow = a + i * k;
-                T *crow = c + i * n;
-                for (size_t kk = k0; kk < k1; ++kk) {
-                    const T aik = arow[kk];
-                    const size_t *off = g.offset + kk * g.cols_out;
-                    size_t q = j0 % g.cols_out;
-                    const T *vb =
-                        v + (j0 / g.cols_out) * g.block_stride;
-                    for (size_t j = j0; j < j1; ++j) {
-                        crow[j] += aik * vb[off[q]];
-                        if (++q == g.cols_out) {
-                            q = 0;
-                            vb += g.block_stride;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/**
- * C = A * gather(B) (C must be zero-initialised; m x cols_out*batch
- * row-major), parallelised like gemmBlocked. Bit-identical to
- * materializing the permutation and calling gemmBlocked.
- */
-template <typename T>
-void
-gemmGatheredBlocked(size_t m, size_t k, const T *a, const T *v,
-                    const GatherB &g, T *c)
-{
-    const size_t n = g.cols_out * g.batch;
-    if (m == 0 || n == 0 || k == 0)
-        return;
-    if (obs::enabled()) {
-        KernelStats &ks = KernelStats::get();
-        ks.gemm_calls.add();
-        ks.gemm_madds.add(m * n * k);
-        ks.simd_isa.set(static_cast<int64_t>(simd::activeIsa()));
-    }
-    obs::ScopedTimer timer(KernelStats::get().gemm_us);
-    obs::HostSpan span("gemm.gathered");
-    if (m * n * k < kParallelMinWork) {
-        gemmTileGathered(n, k, a, v, g, c, 0, m, 0, n);
-        return;
-    }
-    if (m >= n) {
-        parallelFor(0, m, kRowBlock, [&](size_t i0, size_t i1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmTileGathered(n, k, a, v, g, c, i0, i1, 0, n);
-        });
-    } else {
-        parallelFor(0, n, kColBlock, [&](size_t j0, size_t j1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmTileGathered(n, k, a, v, g, c, 0, m, j0, j1);
-        });
-    }
-}
-
-/**
  * Inner tile over a packed A operand (linalg/pack.hh), dispatching to
  * the register-blocked microkernel. @p fast only affects float (see
  * simd::FastMode); with fast false the result is bit-identical to
@@ -325,11 +243,11 @@ gemmPackedBlocked(size_t m, size_t n, size_t k, const T *pa,
 }
 
 /**
- * C = packedA * gather(B): the packed replacement for
- * gemmGatheredBlocked. Instead of feeding the indirect per-element
- * read to the GEMM (which defeats vectorization — the regression that
- * made fused lose to materialized on wide stages,
- * docs/performance.md), each kColBlock-wide panel of the gathered
+ * C = packedA * gather(B) (C zero-initialised, m x cols_out*batch
+ * row-major). Instead of feeding the indirect per-element read to the
+ * GEMM (which defeats vectorization — the regression that made fused
+ * lose to materialized on wide stages, docs/performance.md), each
+ * kColBlock-wide panel of the gathered
  * virtual B is first packed contiguously into @p bscratch (k x panel
  * width, caller-owned, >= k * kColBlock elements, reused across
  * panels and calls), then the dense packed microkernel consumes it.
@@ -338,9 +256,9 @@ gemmPackedBlocked(size_t m, size_t n, size_t k, const T *pa,
  *
  * The panel loop is serial (one shared scratch); the gather pass and
  * the microkernel parallelise inside each panel, partitioned over
- * disjoint output/scratch ranges, so results stay bit-identical to
- * gemmGatheredBlocked for every thread count — and to the scalar
- * path when @p fast is false.
+ * disjoint output/scratch ranges, so results are bit-identical for
+ * every thread count — and, with @p fast false, to materializing the
+ * permutation and running the scalar gemmTile chain.
  */
 template <typename T>
 void

@@ -125,25 +125,6 @@ void gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
                  size_t j0, size_t j1);
 
 /**
- * Gathered-operand variants backing gemm::gemmGatheredBlocked (the
- * fused inter-stage Transform read of tt/infer_session). The gather
- * offsets are applied per lane; the arithmetic chain is identical to
- * gemmTileF32/F64, so fusing changes no result bit.
- *
- * The gather geometry mirrors gemm::GatherB: virtual element
- * (kk, b * cols_out + q) reads v[offset[kk * cols_out + q] +
- * b * block_stride].
- */
-void gemmTileGatheredF32(Isa isa, size_t n, size_t k, const float *a,
-                         const float *v, const size_t *offset,
-                         size_t cols_out, size_t block_stride, float *c,
-                         size_t i0, size_t i1, size_t j0, size_t j1);
-void gemmTileGatheredF64(Isa isa, size_t n, size_t k, const double *a,
-                         const double *v, const size_t *offset,
-                         size_t cols_out, size_t block_stride, double *c,
-                         size_t i0, size_t i1, size_t j0, size_t j1);
-
-/**
  * Register-blocked microkernel over a packed A operand (linalg/pack.hh
  * layout: pack::kRowPanel-row panels, column-major within the panel):
  *

@@ -155,6 +155,19 @@ fxpMatmulRaw(size_t m, size_t k, size_t n, const int16_t *w,
     }
 }
 
+size_t
+fxpChainBreak(const std::vector<MacFormat> &fmt)
+{
+    for (size_t h = fmt.size(); h >= 2; --h) {
+        const FxpFormat &out = fmt[h - 1].act_out;
+        const FxpFormat &in = fmt[h - 2].act_in;
+        if (out.total_bits != in.total_bits ||
+            out.frac_bits != in.frac_bits)
+            return h;
+    }
+    return 0;
+}
+
 void
 fxpMatmulGathered(size_t m, size_t k, const int16_t *w, const int16_t *v,
                   const gemm::GatherB &g, const MacFormat &fmt,

@@ -87,6 +87,16 @@ struct MacFormat
 };
 
 /**
+ * Stage-chain check of one compact-scheme layer (@p fmt index h-1 is
+ * stage h; stages run h = d .. 1, so stage h's output feeds stage
+ * h-1's input). Returns the highest stage h >= 2 whose act_out format
+ * differs from stage h-1's act_in format, or 0 when every link
+ * matches. The fixed-point session, the .tie serializer and the .tie
+ * loader all enforce it, so a model that loads can also be served.
+ */
+size_t fxpChainBreak(const std::vector<MacFormat> &fmt);
+
+/**
  * One multiply: 16b x 16b -> 32b product, pre-shifted (with rounding)
  * for 24-bit accumulation. This is exactly what one TIE MAC does per
  * cycle.

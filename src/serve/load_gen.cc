@@ -1,6 +1,7 @@
 #include "serve/load_gen.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -18,12 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double
-elapsedS(Clock::time_point from, Clock::time_point to)
-{
-    return std::chrono::duration<double>(to - from).count();
-}
-
 void
 fillRequestInput(uint64_t seed, size_t index, std::vector<double> &x)
 {
@@ -38,201 +33,158 @@ bool
 bitIdentical(const std::vector<double> &a, const std::vector<double> &b)
 {
     return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(),
-                        a.size() * sizeof(double)) == 0);
+           (a.empty() || std::memcmp(a.data(), b.data(),
+                                     a.size() * sizeof(double)) == 0);
 }
 
-/** Per-request outcome record, merged into the report at the end. */
-struct ClientTally
+/** What the generator learned about one request. */
+struct Outcome
 {
-    size_t submitted = 0;
-    size_t completed = 0;
-    size_t rejected = 0;
-    size_t timed_out = 0;
-    size_t mismatched = 0;
-    std::vector<double> latency_us;
-    std::vector<double> queue_wait_us;
-    std::vector<double> service_us;
+    RequestStatus status = RequestStatus::Rejected;
+    bool mismatched = false;
+    double latency_us = 0;
+    RequestTiming timing;
+};
 
-    void
-    reserve(size_t n)
+/** Report over requests first, first + step, ... of one run. */
+LoadGenReport
+report(const std::vector<Outcome> &outcomes, size_t first, size_t step,
+       double offered_qps, double wall_s)
+{
+    LoadGenReport r;
+    std::vector<double> latency, queue_wait, service;
+    for (size_t i = first; i < outcomes.size(); i += step) {
+        const Outcome &o = outcomes[i];
+        ++r.submitted;
+        r.rejected += o.status == RequestStatus::Rejected;
+        r.timed_out += o.status == RequestStatus::TimedOut;
+        if (o.status != RequestStatus::Done)
+            continue;
+        ++r.completed;
+        r.mismatched += o.mismatched;
+        latency.push_back(o.latency_us);
+        queue_wait.push_back(o.timing.queue_wait_us);
+        service.push_back(o.timing.service_us);
+    }
+    r.open_loop = offered_qps > 0;
+    r.wall_s = wall_s;
+    r.offered_qps = offered_qps;
+    r.achieved_qps = wall_s > 0 ? r.completed / wall_s : 0;
+    r.latency = summarize(std::move(latency));
+    r.queue_wait = summarize(std::move(queue_wait));
+    r.service = summarize(std::move(service));
+    return r;
+}
+
+/** One run's request stream: lane routing, the oracle, the outcomes. */
+struct Stream
+{
+    LoadTarget &target;
+    const LoadGenOptions &opts;
+    const LaneOutputs *expected;
+    size_t lanes;
+    std::vector<Outcome> outcomes; ///< entry i written by one thread
+
+    /** Fill @p x with request @p i's input; returns its lane. */
+    size_t
+    input(size_t i, std::vector<double> &x) const
     {
-        latency_us.reserve(n);
-        queue_wait_us.reserve(n);
-        service_us.reserve(n);
+        x.resize(target.inSize(i % lanes));
+        fillRequestInput(opts.seed, i, x);
+        return i % lanes;
+    }
+
+    /**
+     * Wait for request @p i and record its outcome. Closed-loop
+     * latency runs from @p t0 (the submit) to wait-return; open-loop
+     * latency is the server-side queue wait + service, which a
+     * collector lagging the arrival rate cannot inflate.
+     */
+    void
+    collect(size_t i, LoadTicket &t, std::vector<double> &y,
+            Clock::time_point t0)
+    {
+        Outcome &o = outcomes[i];
+        o.status = target.wait(i % lanes, t, &y, &o.timing);
+        TIE_REQUIRE(o.status == RequestStatus::Done ||
+                        o.status == RequestStatus::Rejected ||
+                        o.status == RequestStatus::TimedOut,
+                    "load generator wait returned ", toString(o.status));
+        o.latency_us = opts.offered_qps > 0
+                           ? o.timing.queue_wait_us + o.timing.service_us
+                           : std::chrono::duration<double, std::micro>(
+                                 Clock::now() - t0)
+                                 .count();
+        o.mismatched = o.status == RequestStatus::Done &&
+                       expected != nullptr &&
+                       !bitIdentical(y, (*expected)[i % lanes][i / lanes]);
     }
 };
 
+/** Closed loop: each client keeps one request outstanding. */
 void
-mergeTallies(std::vector<ClientTally> &tallies, LoadGenReport &rep,
-             std::vector<double> &latency, std::vector<double> &qwait,
-             std::vector<double> &service)
+runClosedLoop(Stream &s)
 {
-    for (ClientTally &t : tallies) {
-        rep.submitted += t.submitted;
-        rep.completed += t.completed;
-        rep.rejected += t.rejected;
-        rep.timed_out += t.timed_out;
-        rep.mismatched += t.mismatched;
-        latency.insert(latency.end(), t.latency_us.begin(),
-                       t.latency_us.end());
-        qwait.insert(qwait.end(), t.queue_wait_us.begin(),
-                     t.queue_wait_us.end());
-        service.insert(service.end(), t.service_us.begin(),
-                       t.service_us.end());
-    }
-}
-
-LoadGenReport
-runClosedLoop(Server &server, const LoadGenOptions &opts,
-              const std::vector<std::vector<double>> *expected)
-{
-    const size_t clients = std::max<size_t>(1, opts.clients);
-    std::vector<ClientTally> tallies(clients);
-    for (ClientTally &t : tallies)
-        t.reserve(opts.requests / clients + 1);
-
-    const Clock::time_point start = Clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-            ClientTally &tally = tallies[c];
-            std::vector<double> x(server.inSize());
-            std::vector<double> y;
-            for (size_t i = c; i < opts.requests; i += clients) {
-                fillRequestInput(opts.seed, i, x);
+    std::atomic<size_t> next{0};
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < s.opts.clients; ++c) {
+        clients.emplace_back([&] {
+            std::vector<double> x, y;
+            LoadTicket t;
+            for (size_t i; (i = next.fetch_add(1)) < s.opts.requests;) {
+                const size_t lane = s.input(i, x);
                 const Clock::time_point t0 = Clock::now();
-                const Ticket t = server.submit(x.data(),
-                                               opts.deadline_us);
-                ++tally.submitted;
-                if (!t.valid()) {
-                    ++tally.rejected;
-                    continue;
-                }
-                RequestTiming timing;
-                const RequestStatus st = server.wait(t, &y, &timing);
-                if (st == RequestStatus::TimedOut) {
-                    ++tally.timed_out;
-                    continue;
-                }
-                TIE_REQUIRE(st == RequestStatus::Done,
-                            "closed-loop wait returned ", toString(st));
-                ++tally.completed;
-                tally.latency_us.push_back(
-                    std::chrono::duration<double, std::micro>(
-                        Clock::now() - t0)
-                        .count());
-                tally.queue_wait_us.push_back(timing.queue_wait_us);
-                tally.service_us.push_back(timing.service_us);
-                if (expected != nullptr &&
-                    !bitIdentical(y, (*expected)[i]))
-                    ++tally.mismatched;
+                s.target.submit(lane, x.data(), s.opts.deadline_us, t);
+                s.collect(i, t, y, t0);
             }
         });
     }
-    for (std::thread &t : threads)
+    for (std::thread &t : clients)
         t.join();
-    const double wall_s = elapsedS(start, Clock::now());
-
-    LoadGenReport rep;
-    rep.open_loop = false;
-    rep.wall_s = wall_s;
-    std::vector<double> latency, qwait, service;
-    mergeTallies(tallies, rep, latency, qwait, service);
-    rep.achieved_qps = wall_s > 0 ? rep.completed / wall_s : 0;
-    rep.latency = summarize(std::move(latency));
-    rep.queue_wait = summarize(std::move(qwait));
-    rep.service = summarize(std::move(service));
-    return rep;
 }
 
-LoadGenReport
-runOpenLoop(Server &server, const LoadGenOptions &opts,
-            const std::vector<std::vector<double>> *expected)
+/** Open loop: a pacer submits, this thread collects in order. */
+void
+runOpenLoop(Stream &s)
 {
-    TIE_CHECK_ARG(opts.offered_qps > 0,
-                  "open loop needs offered_qps > 0");
-    std::vector<Ticket> tickets(opts.requests);
+    const LoadGenOptions &opts = s.opts;
+    std::vector<LoadTicket> tickets(opts.requests);
     std::mutex mu;
     std::condition_variable cv;
     size_t produced = 0;
 
-    const Clock::time_point start = Clock::now();
     std::thread pacer([&] {
         Rng rng(opts.seed ^ 0xa5a5a5a55a5a5a5aull);
-        std::vector<double> x(server.inSize());
+        std::vector<double> x;
         Clock::time_point next = Clock::now();
         for (size_t i = 0; i < opts.requests; ++i) {
-            // Poisson arrivals: exponential inter-arrival gaps at the
-            // offered rate, independent of completions.
+            // Poisson arrivals, independent of completions.
             const double gap_s =
                 -std::log(1.0 - rng.uniform()) / opts.offered_qps;
             next += std::chrono::duration_cast<Clock::duration>(
                 std::chrono::duration<double>(gap_s));
             std::this_thread::sleep_until(next);
-            fillRequestInput(opts.seed, i, x);
-            const Ticket t = server.submit(x.data(), opts.deadline_us);
+            const size_t lane = s.input(i, x);
+            // tickets[i] is published to the collector by `produced`.
+            s.target.submit(lane, x.data(), opts.deadline_us,
+                            tickets[i]);
             {
                 std::lock_guard<std::mutex> lk(mu);
-                tickets[i] = t;
                 produced = i + 1;
             }
             cv.notify_one();
         }
     });
 
-    ClientTally tally;
-    tally.reserve(opts.requests);
     std::vector<double> y;
     for (size_t i = 0; i < opts.requests; ++i) {
-        Ticket t;
         {
             std::unique_lock<std::mutex> lk(mu);
             cv.wait(lk, [&] { return produced > i; });
-            t = tickets[i];
         }
-        ++tally.submitted;
-        if (!t.valid()) {
-            ++tally.rejected;
-            continue;
-        }
-        RequestTiming timing;
-        const RequestStatus st = server.wait(t, &y, &timing);
-        if (st == RequestStatus::TimedOut) {
-            ++tally.timed_out;
-            continue;
-        }
-        TIE_REQUIRE(st == RequestStatus::Done,
-                    "open-loop wait returned ", toString(st));
-        ++tally.completed;
-        // Server-side latency: a collector that falls behind the
-        // arrival rate would inflate client-measured numbers, so the
-        // open-loop summary uses the per-request timing instead.
-        tally.latency_us.push_back(timing.queue_wait_us +
-                                   timing.service_us);
-        tally.queue_wait_us.push_back(timing.queue_wait_us);
-        tally.service_us.push_back(timing.service_us);
-        if (expected != nullptr && !bitIdentical(y, (*expected)[i]))
-            ++tally.mismatched;
+        s.collect(i, tickets[i], y, Clock::time_point());
     }
     pacer.join();
-    const double wall_s = elapsedS(start, Clock::now());
-
-    LoadGenReport rep;
-    rep.open_loop = true;
-    rep.offered_qps = opts.offered_qps;
-    rep.wall_s = wall_s;
-    std::vector<ClientTally> tallies;
-    tallies.push_back(std::move(tally));
-    std::vector<double> latency, qwait, service;
-    mergeTallies(tallies, rep, latency, qwait, service);
-    rep.achieved_qps = wall_s > 0 ? rep.completed / wall_s : 0;
-    rep.latency = summarize(std::move(latency));
-    rep.queue_wait = summarize(std::move(qwait));
-    rep.service = summarize(std::move(service));
-    return rep;
 }
 
 } // namespace
@@ -246,34 +198,24 @@ makeRequestInput(uint64_t seed, size_t index, size_t n)
 }
 
 std::vector<std::vector<double>>
-referenceOutputs(const std::vector<const TtMatrix *> &model,
-                 uint64_t seed, size_t requests, SessionOptions session)
-{
-    std::vector<TtLayerViewD> views;
-    views.reserve(model.size());
-    for (const TtMatrix *layer : model) {
-        TIE_CHECK_ARG(layer != nullptr,
-                      "referenceOutputs got a null layer");
-        views.push_back(layerView(*layer));
-    }
-    return referenceOutputs(views, seed, requests, session);
-}
-
-std::vector<std::vector<double>>
-referenceOutputs(const std::vector<TtLayerViewD> &model, uint64_t seed,
-                 size_t requests, SessionOptions session)
+tenantReferenceOutputs(const std::vector<TtLayerViewD> &model,
+                       size_t slot, size_t n_models, uint64_t seed,
+                       size_t total_requests)
 {
     TIE_CHECK_ARG(!model.empty(),
-                  "referenceOutputs needs at least one layer");
+                  "reference outputs need at least one layer");
+    TIE_CHECK_ARG(n_models >= 1 && slot < n_models,
+                  "tenant slot ", slot, " out of range for ", n_models,
+                  " models");
     std::vector<InferSessionD> sessions;
     sessions.reserve(model.size());
     for (const TtLayerViewD &layer : model)
-        sessions.push_back(InferSessionD(layer, session));
+        sessions.push_back(InferSessionD(layer));
 
-    std::vector<std::vector<double>> out(requests);
-    std::vector<double> cur(model.front().cfg.inSize());
-    std::vector<double> nxt;
-    for (size_t i = 0; i < requests; ++i) {
+    std::vector<std::vector<double>> out;
+    std::vector<double> cur, nxt;
+    for (size_t i = slot; i < total_requests; i += n_models) {
+        cur.resize(model.front().cfg.inSize());
         fillRequestInput(seed, i, cur);
         std::vector<double> *a = &cur;
         std::vector<double> *b = &nxt;
@@ -282,10 +224,29 @@ referenceOutputs(const std::vector<TtLayerViewD> &model, uint64_t seed,
             s.runPtr(a->data(), 1, b->data());
             std::swap(a, b);
         }
-        out[i] = *a;
-        cur.resize(model.front().cfg.inSize());
+        out.push_back(*a);
     }
     return out;
+}
+
+std::vector<std::vector<double>>
+referenceOutputs(const std::vector<const TtMatrix *> &model,
+                 uint64_t seed, size_t requests)
+{
+    std::vector<TtLayerViewD> views;
+    for (const TtMatrix *layer : model) {
+        TIE_CHECK_ARG(layer != nullptr,
+                      "referenceOutputs got a null layer");
+        views.push_back(layerView(*layer));
+    }
+    return referenceOutputs(views, seed, requests);
+}
+
+std::vector<std::vector<double>>
+referenceOutputs(const std::vector<TtLayerViewD> &model, uint64_t seed,
+                 size_t requests)
+{
+    return tenantReferenceOutputs(model, 0, 1, seed, requests);
 }
 
 LatencySummary
@@ -312,17 +273,43 @@ summarize(std::vector<double> samples)
     return s;
 }
 
-LoadGenReport
-runLoadGen(Server &server, const LoadGenOptions &opts,
-           const std::vector<std::vector<double>> *expected)
+LoadReport
+runLoadGen(LoadTarget &target, const LoadGenOptions &opts,
+           const LaneOutputs *expected)
 {
+    const size_t lanes = target.lanes();
+    TIE_CHECK_ARG(lanes >= 1, "load gen needs a target with lanes");
     TIE_CHECK_ARG(opts.requests >= 1, "load gen needs requests >= 1");
-    if (expected != nullptr)
-        TIE_CHECK_ARG(expected->size() >= opts.requests,
-                      "expected outputs (", expected->size(),
-                      ") must cover all ", opts.requests, " requests");
-    return opts.offered_qps > 0 ? runOpenLoop(server, opts, expected)
-                                : runClosedLoop(server, opts, expected);
+    TIE_CHECK_ARG(opts.offered_qps > 0 || opts.clients >= 1,
+                  "closed-loop load gen needs clients >= 1");
+    TIE_CHECK_ARG(expected == nullptr || expected->size() == lanes,
+                  "expected outputs must align with the target's ",
+                  lanes, " lane(s)");
+    for (size_t k = 0; expected != nullptr && k < lanes; ++k) {
+        // Lane k serves request ids k, k + lanes, ... < requests.
+        const size_t need = (opts.requests + lanes - 1 - k) / lanes;
+        TIE_CHECK_ARG((*expected)[k].size() >= need, "lane ", k, ": ",
+                      (*expected)[k].size(), " expected outputs for ",
+                      need, " requests");
+    }
+
+    Stream s{target, opts, expected, lanes,
+             std::vector<Outcome>(opts.requests)};
+    const Clock::time_point start = Clock::now();
+    if (opts.offered_qps > 0)
+        runOpenLoop(s);
+    else
+        runClosedLoop(s);
+    const double wall_s =
+        std::chrono::duration<double>(Clock::now() - start).count();
+
+    const double offered = std::max(0.0, opts.offered_qps);
+    LoadReport rep;
+    for (size_t k = 0; k < lanes; ++k)
+        rep.per_model.push_back(
+            report(s.outcomes, k, lanes, offered / lanes, wall_s));
+    rep.aggregate = report(s.outcomes, 0, 1, offered, wall_s);
+    return rep;
 }
 
 } // namespace serve

@@ -1,73 +1,6 @@
-/**
- * @file
- * Multi-tenant load generation over a ModelRegistry: one closed-loop
- * client pool driving mixed traffic across N registered models, with
- * per-model and aggregate reports.
- *
- * The request stream is deterministic: request i targets model
- * names[i % N] with input makeRequestInput(seed, i, in_size_of_model),
- * so a fixed (names order, seed, requests) triple always produces the
- * same per-model streams regardless of client count — which is what
- * lets every completed output be verified bit-exactly against
- * single-session references. Because each registry entry's server
- * carries its own flight tag, a flight-recorder capture of a
- * multi-tenant run attributes per-phase latency to individual models
- * (docs/serving.md).
- */
-
+/** @file Multi-tenant load is serve/load_gen.hh over a RegistryTarget;
+    tenantReferenceOutputs, the per-tenant oracle, is declared there. */
 #ifndef TIE_SERVE_MULTI_TENANT_HH
 #define TIE_SERVE_MULTI_TENANT_HH
-
-#include <string>
-#include <vector>
-
 #include "serve/load_gen.hh"
-#include "serve/model_registry.hh"
-
-namespace tie {
-namespace serve {
-
-struct MultiTenantOptions
-{
-    size_t requests = 256; ///< total, interleaved across models
-    size_t clients = 4;    ///< closed-loop client threads
-    uint64_t deadline_us = 0;
-    uint64_t seed = 1;
-};
-
-struct MultiTenantReport
-{
-    std::vector<std::string> models;        ///< as driven
-    std::vector<LoadGenReport> per_model;   ///< aligned with models
-    LoadGenReport aggregate;
-};
-
-/**
- * Bit-exact reference outputs for the requests of one tenant: model
- * position @p slot out of @p n_models, where tenant request j carries
- * global id j * n_models + slot (the id the input derives from).
- * Entry j corresponds to that global request.
- */
-std::vector<std::vector<double>>
-tenantReferenceOutputs(const std::vector<TtLayerViewD> &model,
-                       size_t slot, size_t n_models, uint64_t seed,
-                       size_t total_requests);
-
-/**
- * Drive @p opts.requests mixed requests across @p names through
- * @p registry. Every name must already be published (fatal
- * otherwise). When @p expected is non-null it holds one
- * tenantReferenceOutputs vector per name (aligned); completed outputs
- * are then verified bit-exactly and mismatches counted per model.
- */
-MultiTenantReport
-runMultiTenant(ModelRegistry &registry,
-               const std::vector<std::string> &names,
-               const MultiTenantOptions &opts,
-               const std::vector<std::vector<std::vector<double>>>
-                   *expected = nullptr);
-
-} // namespace serve
-} // namespace tie
-
 #endif // TIE_SERVE_MULTI_TENANT_HH

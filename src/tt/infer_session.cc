@@ -529,16 +529,10 @@ InferSessionFxp::InferSessionFxp(TtFxpLayerView layer,
                   fmt_.size(), " stage formats for d = ", cfg.d());
     checkCoreViews(cfg, cores_);
     // Each stage's output format must feed the next stage's input.
-    for (size_t h = cfg.d(); h >= 2; --h) {
-        const MacFormat &cur = fmt_[h - 1];
-        const MacFormat &next = fmt_[h - 2];
-        TIE_CHECK_ARG(cur.act_out.frac_bits == next.act_in.frac_bits &&
-                          cur.act_out.total_bits ==
-                              next.act_in.total_bits,
-                      "stage ", h,
-                      " act_out format does not match stage ", h - 1,
-                      " act_in format");
-    }
+    const size_t h = fxpChainBreak(fmt_);
+    TIE_CHECK_ARG(h == 0, "stage ", h,
+                  " act_out format does not match stage ", h - 1,
+                  " act_in format");
 }
 
 void

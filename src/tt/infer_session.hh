@@ -19,8 +19,8 @@
  * every shape, batch and thread count — tests assert exact equality.
  *
  * Both the fused and materialized stage loops execute on the SIMD
- * kernel layer (linalg/simd.hh) through gemmBlocked /
- * gemmGatheredBlocked / fxpMatmulRaw / fxpMatmulGathered, so session
+ * kernel layer (linalg/simd.hh) through gemmPackedBlocked /
+ * gemmPackedGatheredBlocked / fxpMatmulRaw / fxpMatmulGathered, so session
  * outputs are additionally bit-identical across dispatch ISAs
  * (TIE_SIMD); the active path is reported by the simd.isa gauge.
  *

@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_load.hh"
 #include "cluster/process.hh"
 #include "cluster/router.hh"
 #include "cluster/socket.hh"
@@ -532,16 +531,16 @@ TEST_F(ClusterTest, ShardedLoadIsBitIdenticalToReference)
     EXPECT_EQ(router.inSize(), 16u);
     EXPECT_EQ(router.outSize(), 16u);
 
-    ClusterLoadOptions lopts;
+    serve::LoadGenOptions lopts;
     lopts.requests = 48;
     lopts.clients = 4;
     lopts.seed = 3;
     const io::TieModel oracle = io::TieModel::load(model_path_);
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(oracle.layers(), lopts.seed,
-                                lopts.requests);
+    const serve::LaneOutputs expected = {serve::referenceOutputs(
+        oracle.layers(), lopts.seed, lopts.requests)};
+    RouterTarget target({&router});
     const serve::LoadGenReport rep =
-        runClusterLoad(router, lopts, &expected);
+        serve::runLoadGen(target, lopts, &expected).aggregate;
 
     EXPECT_EQ(rep.completed, 48u);
     EXPECT_EQ(rep.rejected, 0u);
@@ -613,16 +612,16 @@ TEST_F(ClusterTest, DeadReplicaFailsOverWithoutLosingRequests)
     // dead replica must fail over, not hang or vanish.
     w0->stop();
 
-    ClusterLoadOptions lopts;
+    serve::LoadGenOptions lopts;
     lopts.requests = 32;
     lopts.clients = 4;
     lopts.seed = 5;
     const io::TieModel oracle = io::TieModel::load(model_path_);
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(oracle.layers(), lopts.seed,
-                                lopts.requests);
+    const serve::LaneOutputs expected = {serve::referenceOutputs(
+        oracle.layers(), lopts.seed, lopts.requests)};
+    RouterTarget target({&router});
     const serve::LoadGenReport rep =
-        runClusterLoad(router, lopts, &expected);
+        serve::runLoadGen(target, lopts, &expected).aggregate;
 
     // Zero lost: every request has a terminal outcome...
     EXPECT_EQ(rep.completed + rep.rejected + rep.timed_out,

@@ -3,10 +3,11 @@
  * Serving-layer tests: request-queue lifecycle and misuse fatals,
  * admission control, enqueue deadlines, batching invariance (outputs
  * bit-identical across every coalescing policy), drain-on-shutdown,
- * both load generators against bit-exact references, serve.* stat
- * wiring, and — via the same global operator new/delete hook as
- * test_infer_session.cc — the zero-heap-allocation guarantee of the
- * steady-state serving cycle.
+ * the load generator's closed and open loops against bit-exact
+ * references and its per-lane accounting over a scripted target,
+ * serve.* stat wiring, and — via the same global operator new/delete
+ * hook as test_infer_session.cc — the zero-heap-allocation guarantee
+ * of the steady-state serving cycle.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <new>
 #include <set>
 #include <string>
@@ -491,10 +493,12 @@ TEST(LoadGen, ClosedLoopCompletesAndVerifiesBitExactly)
     lopts.requests = 96;
     lopts.clients = 4;
     lopts.seed = 9;
-    const std::vector<std::vector<double>> expected =
-        referenceOutputs(model.chain(), lopts.seed, lopts.requests);
+    const LaneOutputs expected = {
+        referenceOutputs(model.chain(), lopts.seed, lopts.requests)};
 
-    const LoadGenReport rep = runLoadGen(server, lopts, &expected);
+    ServerTarget target(server);
+    const LoadGenReport rep =
+        runLoadGen(target, lopts, &expected).aggregate;
     EXPECT_FALSE(rep.open_loop);
     EXPECT_EQ(rep.submitted, lopts.requests);
     // Closed-loop clients never outrun the queue: nothing is shed.
@@ -523,10 +527,12 @@ TEST(LoadGen, OpenLoopAccountsForEveryRequest)
     lopts.requests = 64;
     lopts.offered_qps = 20000; // well into the batching regime
     lopts.seed = 15;
-    const std::vector<std::vector<double>> expected =
-        referenceOutputs(model.chain(), lopts.seed, lopts.requests);
+    const LaneOutputs expected = {
+        referenceOutputs(model.chain(), lopts.seed, lopts.requests)};
 
-    const LoadGenReport rep = runLoadGen(server, lopts, &expected);
+    ServerTarget target(server);
+    const LoadGenReport rep =
+        runLoadGen(target, lopts, &expected).aggregate;
     EXPECT_TRUE(rep.open_loop);
     EXPECT_EQ(rep.submitted, lopts.requests);
     EXPECT_EQ(rep.completed + rep.rejected + rep.timed_out,
@@ -534,6 +540,116 @@ TEST(LoadGen, OpenLoopAccountsForEveryRequest)
     EXPECT_EQ(rep.mismatched, 0u);
     EXPECT_GT(rep.completed, 0u);
     EXPECT_LE(rep.latency.p50, rep.latency.p99);
+}
+
+/**
+ * A scripted target for the generator's own accounting: nothing is
+ * served. A request's id is recovered from its input bits, its
+ * "output" is {id}, and the chosen ids come back Rejected, TimedOut
+ * or Done with wrong bits.
+ */
+class FakeTarget final : public LoadTarget
+{
+  public:
+    static constexpr uint64_t kSeed = 77;
+    static constexpr size_t kRequests = 30;
+    const std::set<size_t> rejected{1, 7, 20};
+    const std::set<size_t> timed_out{4, 11};
+    const std::set<size_t> wrong{0, 13, 29};
+
+    explicit FakeTarget(size_t lanes) : lanes_(lanes)
+    {
+        for (size_t i = 0; i < kRequests; ++i)
+            ids_[makeRequestInput(kSeed, i, inSize(i % lanes))[0]] = i;
+    }
+
+    static std::vector<double> output(size_t id) { return {double(id)}; }
+
+    size_t lanes() const override { return lanes_; }
+    size_t inSize(size_t lane) const override { return 2 + lane; }
+
+    void
+    submit(size_t lane, const double *x, uint64_t,
+           LoadTicket &t) override
+    {
+        t.id = ids_.at(x[0]);
+        if (lane != t.id % lanes_)
+            wrong_lane.fetch_add(1);
+    }
+
+    RequestStatus
+    wait(size_t, LoadTicket &t, std::vector<double> *out,
+         RequestTiming *) override
+    {
+        if (rejected.count(t.id))
+            return RequestStatus::Rejected;
+        if (timed_out.count(t.id))
+            return RequestStatus::TimedOut;
+        *out = output(t.id + wrong.count(t.id));
+        return RequestStatus::Done;
+    }
+
+    std::atomic<size_t> wrong_lane{0};
+
+  private:
+    size_t lanes_;
+    std::map<double, size_t> ids_;
+};
+
+TEST(LoadGen, AccountsEveryOutcomePerLane)
+{
+    for (size_t lanes : {size_t(1), size_t(3)}) {
+        for (double qps : {0.0, 200000.0}) {
+            FakeTarget target(lanes);
+            LaneOutputs expected(lanes);
+            for (size_t i = 0; i < FakeTarget::kRequests; ++i)
+                expected[i % lanes].push_back(FakeTarget::output(i));
+
+            LoadGenOptions lopts;
+            lopts.requests = FakeTarget::kRequests;
+            lopts.clients = 4;
+            lopts.offered_qps = qps;
+            lopts.seed = FakeTarget::kSeed;
+            const LoadReport rep = runLoadGen(target, lopts, &expected);
+            SCOPED_TRACE(::testing::Message()
+                         << lanes << " lane(s), qps " << qps);
+
+            EXPECT_EQ(target.wrong_lane.load(), 0u);
+            ASSERT_EQ(rep.per_model.size(), lanes);
+            for (size_t k = 0; k < lanes; ++k) {
+                LoadGenReport want;
+                for (size_t i = k; i < FakeTarget::kRequests; i += lanes) {
+                    ++want.submitted;
+                    if (target.rejected.count(i))
+                        ++want.rejected;
+                    else if (target.timed_out.count(i))
+                        ++want.timed_out;
+                    else
+                        ++want.completed;
+                    want.mismatched += target.wrong.count(i);
+                }
+                const LoadGenReport &r = rep.per_model[k];
+                EXPECT_EQ(r.open_loop, qps > 0);
+                EXPECT_EQ(r.submitted, FakeTarget::kRequests / lanes);
+                EXPECT_EQ(r.submitted, want.submitted) << "lane " << k;
+                EXPECT_EQ(r.completed, want.completed) << "lane " << k;
+                EXPECT_EQ(r.rejected, want.rejected) << "lane " << k;
+                EXPECT_EQ(r.timed_out, want.timed_out) << "lane " << k;
+                EXPECT_EQ(r.mismatched, want.mismatched) << "lane " << k;
+                EXPECT_EQ(r.completed + r.rejected + r.timed_out,
+                          r.submitted);
+            }
+            const LoadGenReport &a = rep.aggregate;
+            EXPECT_EQ(a.open_loop, qps > 0);
+            EXPECT_EQ(a.submitted, FakeTarget::kRequests);
+            EXPECT_EQ(a.completed, 25u);
+            EXPECT_EQ(a.rejected, 3u);
+            EXPECT_EQ(a.timed_out, 2u);
+            EXPECT_EQ(a.mismatched, 3u);
+            EXPECT_EQ(a.completed + a.rejected + a.timed_out,
+                      a.submitted);
+        }
+    }
 }
 
 // -------------------------------------------------------------------

@@ -413,6 +413,68 @@ TEST(TieFormat, SaveRejectsBrokenChains)
                 ::testing::ExitedWithCode(1), "consumes");
 }
 
+TEST(TieFormat, SaveRejectsABrokenFxpStageChain)
+{
+    const TtMatrix tt = sampleLayer(18);
+    const TtMatrixFxp q = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+    TieLayerSpec spec = io::makeLayerSpec(tt, q);
+    spec.fxp_fmt[0].act_in.total_bits = 1;
+    EXPECT_EXIT(io::serializeTieModel({spec}),
+                ::testing::ExitedWithCode(1),
+                "stage 2 act_out format does not match stage 1");
+}
+
+TEST(TieFormat, LoadRejectsABrokenFxpStageChain)
+{
+    // Every MacFormat in range on its own, but stage 2's act_out no
+    // longer feeds stage 1's act_in: the loader must refuse the file
+    // rather than hand out a layer whose session construction fails.
+    Rng rng(17);
+    std::vector<TtMatrix> chain;
+    for (int i = 0; i < 2; ++i)
+        chain.push_back(TtMatrix::random(
+            TtLayerConfig::uniform(3, 4, 4, 3), rng));
+    std::vector<uint8_t> img = image(chain, /*fxp=*/true);
+
+    bool patched = false;
+    uint64_t n_sections = 0;
+    std::memcpy(&n_sections, img.data() + 24, 8);
+    for (uint64_t s = 0; s < n_sections; ++s) {
+        uint8_t *e = img.data() + io::kTieHeaderSize +
+                     s * io::kTieSectionEntrySize;
+        uint32_t kind = 0, layer = 0;
+        uint64_t off = 0, size = 0;
+        std::memcpy(&kind, e, 4);
+        std::memcpy(&layer, e + 4, 4);
+        std::memcpy(&off, e + 8, 8);
+        std::memcpy(&size, e + 16, 8);
+        if (kind != uint32_t(io::TieSection::FxpMeta) || layer != 0)
+            continue;
+        const int32_t act_in_total_bits = 1; // stage 1, byte 8
+        std::memcpy(img.data() + off + 8, &act_in_total_bits, 4);
+        const uint32_t crc = io::crc32(img.data() + off, size);
+        std::memcpy(e + 24, &crc, 4);
+        patched = true;
+    }
+    ASSERT_TRUE(patched);
+    const uint32_t header_crc = io::crc32(img.data(), 40);
+    std::memcpy(img.data() + 40, &header_crc, 4);
+
+    const std::string path = "/tmp/tie_fmt_broken_fxp_chain.tie";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os.write(reinterpret_cast<const char *>(img.data()),
+                 static_cast<std::streamsize>(img.size()));
+    }
+    TieModel m;
+    std::string err;
+    EXPECT_FALSE(TieModel::tryLoad(path, &m, &err));
+    EXPECT_NE(err.find("act_out format does not match"),
+              std::string::npos)
+        << err;
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Zero-copy serving off the mapping
 // ---------------------------------------------------------------------

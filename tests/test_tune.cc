@@ -20,7 +20,7 @@
 #include "nn/dataset.hh"
 #include "obs/json.hh"
 #include "serve/model_registry.hh"
-#include "serve/multi_tenant.hh"
+#include "serve/load_gen.hh"
 #include "tt/cost_model.hh"
 #include "tt/infer_session.hh"
 #include "tt/tt_io.hh"
@@ -309,19 +309,20 @@ TEST(Zoo, MultiTenantMixIsBitExact)
         tune::publishZoo(dir.path, registry);
     ASSERT_EQ(names.size(), 2u);
 
-    serve::MultiTenantOptions mo;
+    serve::LoadGenOptions mo;
     mo.requests = 40;
     mo.clients = 3;
     mo.seed = 5;
-    std::vector<std::vector<std::vector<double>>> expected;
+    serve::LaneOutputs expected;
     for (size_t k = 0; k < names.size(); ++k) {
         const serve::ServableModel m = serve::loadServable(
             dir.path + "/" + manifest.entries[k].file);
         expected.push_back(serve::tenantReferenceOutputs(
             m.views, k, names.size(), mo.seed, mo.requests));
     }
-    const serve::MultiTenantReport rep =
-        serve::runMultiTenant(registry, names, mo, &expected);
+    serve::RegistryTarget target(registry, names);
+    const serve::LoadReport rep =
+        serve::runLoadGen(target, mo, &expected);
     EXPECT_EQ(rep.aggregate.submitted, mo.requests);
     EXPECT_EQ(rep.aggregate.completed, mo.requests);
     EXPECT_EQ(rep.aggregate.mismatched, 0u);

@@ -70,7 +70,6 @@
 
 #include "arch/stats_io.hh"
 #include "arch/tie_sim.hh"
-#include "cluster/cluster_load.hh"
 #include "cluster/process.hh"
 #include "cluster/router.hh"
 #include "common/table.hh"
@@ -82,7 +81,6 @@
 #include "serve/load_gen.hh"
 #include "serve/metrics_endpoint.hh"
 #include "serve/model_registry.hh"
-#include "serve/multi_tenant.hh"
 #include "serve/server.hh"
 #include "tt/cost_model.hh"
 #include "tt/tt_io.hh"
@@ -639,8 +637,8 @@ cmdServeBench(const Options &opt)
     lopts.deadline_us = std::stoull(opt.get("deadline-us", "0"));
     lopts.seed = std::stoull(opt.get("seed", "1"));
 
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(views, lopts.seed, lopts.requests);
+    const serve::LaneOutputs expected = {
+        serve::referenceOutputs(views, lopts.seed, lopts.requests)};
 
     // Live metrics: a loopback Prometheus endpoint and/or a periodic
     // exposition snapshot file. Either implies observability so the
@@ -670,8 +668,9 @@ cmdServeBench(const Options &opt)
     obs::FlightRecorder::instance().start();
 
     serve::Server server(views, sopts);
+    serve::ServerTarget target(server);
     const serve::LoadGenReport rep =
-        serve::runLoadGen(server, lopts, &expected);
+        serve::runLoadGen(target, lopts, &expected).aggregate;
 
     obs::FlightRecorder::instance().stop();
 
@@ -862,7 +861,7 @@ cmdClusterBenchZoo(const Options &opt)
     sopts.queue_capacity =
         static_cast<size_t>(std::stoul(opt.get("queue-cap", "128")));
 
-    cluster::ClusterLoadOptions lopts;
+    serve::LoadGenOptions lopts;
     lopts.requests =
         static_cast<size_t>(std::stoul(opt.get("requests", "64")));
     lopts.clients =
@@ -872,7 +871,7 @@ cmdClusterBenchZoo(const Options &opt)
 
     // Per-tenant oracles from the same artifacts the workers load.
     std::vector<std::string> paths;
-    std::vector<std::vector<std::vector<double>>> expected;
+    serve::LaneOutputs expected;
     for (size_t k = 0; k < n_models; ++k) {
         paths.push_back(zoo_dir + "/" + manifest.entries[k].file);
         io::TieModel artifact = io::TieModel::load(paths.back());
@@ -920,8 +919,9 @@ cmdClusterBenchZoo(const Options &opt)
     std::vector<cluster::Router *> router_ptrs;
     for (const std::unique_ptr<cluster::Router> &r : routers)
         router_ptrs.push_back(r.get());
-    const cluster::MixedClusterReport rep =
-        cluster::runMixedClusterLoad(router_ptrs, lopts, &expected);
+    cluster::RouterTarget target(router_ptrs);
+    const serve::LoadReport rep =
+        serve::runLoadGen(target, lopts, &expected);
 
     for (const std::unique_ptr<cluster::Router> &r : routers)
         r->drainWorkers(/*timeout_ms=*/5000);
@@ -1041,7 +1041,7 @@ cmdClusterBench(const Options &opt)
     sopts.queue_capacity =
         static_cast<size_t>(std::stoul(opt.get("queue-cap", "128")));
 
-    cluster::ClusterLoadOptions lopts;
+    serve::LoadGenOptions lopts;
     lopts.requests =
         static_cast<size_t>(std::stoul(opt.get("requests", "64")));
     lopts.clients =
@@ -1053,9 +1053,8 @@ cmdClusterBench(const Options &opt)
     // through the same artifact, batch-1. Every Done output from any
     // replica must match these bits exactly.
     io::TieModel artifact = io::TieModel::load(model_path);
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(artifact.layers(), lopts.seed,
-                                lopts.requests);
+    const serve::LaneOutputs expected = {serve::referenceOutputs(
+        artifact.layers(), lopts.seed, lopts.requests)};
 
     std::string sock_dir = opt.get("sock-dir", "");
     if (sock_dir.empty()) {
@@ -1120,8 +1119,9 @@ cmdClusterBench(const Options &opt)
         });
     }
 
+    cluster::RouterTarget target({&router});
     const serve::LoadGenReport rep =
-        runClusterLoad(router, lopts, &expected);
+        serve::runLoadGen(target, lopts, &expected).aggregate;
     load_done.store(true);
     if (chaos_thread.joinable())
         chaos_thread.join();
