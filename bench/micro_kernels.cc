@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks of the software kernels: compact vs
  * naive TT inference, dense GEMV, the two Transform implementations
  * (index-map vs the paper's literal 4-step), the fixed-point GEMM, and
- * TT-SVD. These measure host wall-clock, complementing the simulator's
- * cycle counts.
+ * TT-SVD, and the cluster wire codec (CRC-32 and one InferRequest +
+ * InferResponse round trip). These measure host wall-clock,
+ * complementing the simulator's cycle counts.
  *
  * The *_Threads benchmarks sweep the pool size over the same input so
  * the parallel layer's speedup is measured, not asserted: compare e.g.
@@ -23,9 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/wire.hh"
 #include "common/thread_pool.hh"
 #include "obs/report.hh"
 #include "core/workloads.hh"
+#include "io/crc32.hh"
 #include "linalg/gemm.hh"
 #include "linalg/pack.hh"
 #include "linalg/simd.hh"
@@ -312,6 +315,71 @@ BM_TtSvd(benchmark::State &state)
         benchmark::DoNotOptimize(ttSvdMatrix(w, cfg));
 }
 BENCHMARK(BM_TtSvd);
+
+// ---------------------------------------------------------------------
+// The cluster wire codec. BM_Crc32/32816 checksums one FC7 frame's
+// payload (4096 f64 + 16 header bytes); BM_WireInferRoundTrip is one
+// cluster hop's codec work: the router encodes the request frame, the
+// worker decodes it and encodes the response frame, and the router
+// decodes that — four CRC passes and four f64 array copies.
+// ---------------------------------------------------------------------
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+    Rng rng(13);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng.intIn(0, 255));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(io::crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(32816)->UseRealTime();
+
+void
+BM_WireInferRoundTrip(benchmark::State &state)
+{
+    constexpr size_t kValues = 4096; // VGG-FC7 in and out
+    Rng rng(17);
+    std::vector<double> x(kValues), y(kValues);
+    for (double &v : x)
+        v = rng.normal();
+    for (double &v : y)
+        v = rng.normal();
+    std::vector<uint8_t> req_frame, resp_frame;
+    cluster::InferRequestMsg req;
+    cluster::InferResponseMsg resp;
+    uint64_t id = 0;
+    for (auto _ : state) {
+        ++id;
+        cluster::encodeInferRequestFrame(id, 0, x.data(), x.size(),
+                                         &req_frame);
+        cluster::WireFrameView f;
+        size_t used = 0;
+        if (cluster::tryDecodeFrame(req_frame.data(), req_frame.size(),
+                                    &f, &used) !=
+                cluster::DecodeStatus::Ok ||
+            !cluster::decodeInferRequest(f, &req)) {
+            state.SkipWithError("request frame did not decode");
+            break;
+        }
+        cluster::encodeInferResponseFrame(req.req_id, 3, y.data(),
+                                          y.size(), &resp_frame);
+        if (cluster::tryDecodeFrame(resp_frame.data(), resp_frame.size(),
+                                    &f, &used) !=
+                cluster::DecodeStatus::Ok ||
+            !cluster::decodeInferResponse(f, &resp)) {
+            state.SkipWithError("response frame did not decode");
+            break;
+        }
+        benchmark::DoNotOptimize(resp.y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            int64_t(req_frame.size() + resp_frame.size()));
+}
+BENCHMARK(BM_WireInferRoundTrip)->UseRealTime();
 
 // ---------------------------------------------------------------------
 // Per-ISA kernel sweeps: the explicit-Isa entry points of the SIMD

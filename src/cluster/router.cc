@@ -80,7 +80,7 @@ Router::attachReplica(size_t idx, std::string *error)
 
     // Handshake on the data connection: the ack pins the model
     // interface this replica serves.
-    WireFrame ack;
+    WireFrameView ack;
     if (!r.data.sendFrame(WireType::Hello, nullptr, 0,
                           opts_.io_timeout_ms, &err) ||
         r.data.recvFrame(&ack, opts_.io_timeout_ms, &err) !=
@@ -223,21 +223,15 @@ Router::pickReplica()
 }
 
 bool
-Router::dispatchLocked(uint64_t id, Pending &p, int r)
+Router::dispatchLocked(Pending &p, int r)
 {
     Replica &rep = *replicas_[r];
-    InferRequestMsg req;
-    req.req_id = id;
-    req.deadline_us = p.deadline_us;
-    req.x = p.x;
-    const std::vector<uint8_t> payload = encodeInferRequest(req);
     std::string err;
     bool sent;
     {
         std::lock_guard<std::mutex> lk(rep.send_mu);
         sent = rep.data.open() &&
-               rep.data.sendFrame(WireType::InferRequest, payload,
-                                  opts_.io_timeout_ms, &err);
+               rep.data.sendEncoded(p.frame, opts_.io_timeout_ms, &err);
     }
     if (!sent) {
         TIE_WARN_ONCE("router: dispatch to ",
@@ -262,8 +256,8 @@ Router::completeLocked(uint64_t id, Pending &p, ClusterStatus st,
     p.terminal = true;
     p.status = st;
     p.y = std::move(y);
-    p.x.clear();
-    p.x.shrink_to_fit();
+    p.frame.clear();
+    p.frame.shrink_to_fit();
     {
         std::lock_guard<std::mutex> lk(stats_mu_);
         switch (st) {
@@ -303,7 +297,7 @@ Router::failOverLocked(size_t idx)
                 }
                 // Re-sending to a different replica is sound because
                 // inference is pure and replicas are bit-identical.
-                moved = dispatchLocked(kv.first, p, r);
+                moved = dispatchLocked(p, r);
             }
         }
         if (!moved)
@@ -315,6 +309,11 @@ ClusterTicket
 Router::submit(const double *x, uint64_t deadline_us)
 {
     TIE_CHECK_ARG(x != nullptr, "Router::submit: null input");
+    // Encode (and CRC) the frame before taking mu_: it is most of a
+    // submit's work, and the receivers need mu_ to complete requests.
+    const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
+    std::vector<uint8_t> frame;
+    encodeInferRequestFrame(id, deadline_us, x, in_size_, &frame);
     std::lock_guard<std::mutex> lk(mu_);
     if (stop_flag_.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> slk(stats_mu_);
@@ -329,12 +328,10 @@ Router::submit(const double *x, uint64_t deadline_us)
         ++stats_.shed;
         return {};
     }
-    const uint64_t id = next_id_++;
     Pending &p = pending_[id];
-    p.x.assign(x, x + in_size_);
-    p.deadline_us = deadline_us;
+    p.frame = std::move(frame);
     p.attempts = 1;
-    if (!dispatchLocked(id, p, r)) {
+    if (!dispatchLocked(p, r)) {
         pending_.erase(id);
         std::lock_guard<std::mutex> slk(stats_mu_);
         ++stats_.shed;
@@ -384,7 +381,7 @@ Router::receiverLoop(size_t idx)
             return;
         if (!r.alive.load(std::memory_order_acquire))
             return;
-        WireFrame f;
+        WireFrameView f;
         std::string err;
         const FrameConn::RecvStatus st =
             r.data.recvFrame(&f, kTickMs, &err);
@@ -448,7 +445,7 @@ Router::receiverLoop(size_t idx)
                         std::lock_guard<std::mutex> slk(stats_mu_);
                         ++stats_.redispatched;
                     }
-                    moved = dispatchLocked(resp.req_id, p, alt);
+                    moved = dispatchLocked(p, alt);
                 }
             }
             if (!moved)
@@ -486,7 +483,7 @@ Router::monitorLoop()
                 continue;
             }
             std::string err;
-            WireFrame f;
+            WireFrameView f;
             HealthReportMsg rep;
             const bool ok =
                 r.health.sendFrame(WireType::HealthCheck, nullptr, 0,

@@ -163,8 +163,9 @@ class Router
     /** One in-flight request (pending_ map, guarded by mu_). */
     struct Pending
     {
-        std::vector<double> x; ///< retained for re-dispatch
-        uint64_t deadline_us = 0;
+        /** The encoded InferRequest frame, retained for re-dispatch
+            (the request id inside it never changes). */
+        std::vector<uint8_t> frame;
         int attempts = 0;
         int replica = -1; ///< current owner, -1 = none
         bool terminal = false;
@@ -177,8 +178,8 @@ class Router
     void receiverLoop(size_t idx);
     void monitorLoop();
     int pickReplica(); ///< least-loaded live, -1 when none
-    /** Send req to replica r. False when the send fails. */
-    bool dispatchLocked(uint64_t id, Pending &p, int r);
+    /** Send p.frame to replica r. False when the send fails. */
+    bool dispatchLocked(Pending &p, int r);
     void completeLocked(uint64_t id, Pending &p, ClusterStatus st,
                         std::vector<double> y);
     /** Re-dispatch or shed every pending request owned by @p idx. */
@@ -192,7 +193,9 @@ class Router
     mutable std::mutex mu_; ///< pending_ + dispatch bookkeeping
     std::condition_variable done_cv_;
     std::map<uint64_t, Pending> pending_;
-    uint64_t next_id_ = 1;
+    /** Request ids; taken before mu_ so the frame can be encoded
+        outside it. */
+    std::atomic<uint64_t> next_id_{1};
 
     std::thread monitor_;
     std::atomic<bool> stop_flag_{false};

@@ -104,15 +104,13 @@ setNonBlocking(int fd)
            ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+namespace {
+
+/** sendAllTimed on an fd that is already nonblocking. */
 bool
-sendAllTimed(int fd, const void *data, size_t len, int timeout_ms,
-             std::string *error)
+sendAllNonBlocking(int fd, const void *data, size_t len,
+                   int timeout_ms, std::string *error)
 {
-    if (!setNonBlocking(fd)) {
-        setError(error, strCat("fcntl(O_NONBLOCK) failed: ",
-                               std::strerror(errno)));
-        return false;
-    }
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(timeout_ms);
     const uint8_t *p = static_cast<const uint8_t *>(data);
@@ -159,8 +157,10 @@ sendAllTimed(int fd, const void *data, size_t len, int timeout_ms,
     return true;
 }
 
+} // namespace
+
 bool
-recvAllTimed(int fd, void *data, size_t len, int timeout_ms,
+sendAllTimed(int fd, const void *data, size_t len, int timeout_ms,
              std::string *error)
 {
     if (!setNonBlocking(fd)) {
@@ -168,46 +168,7 @@ recvAllTimed(int fd, void *data, size_t len, int timeout_ms,
                                std::strerror(errno)));
         return false;
     }
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
-    uint8_t *p = static_cast<uint8_t *>(data);
-    size_t off = 0;
-    while (off < len) {
-        const ssize_t n = ::recv(fd, p + off, len - off, 0);
-        if (n > 0) {
-            off += static_cast<size_t>(n);
-            continue;
-        }
-        if (n == 0) {
-            setError(error, strCat("peer closed with ", len - off,
-                                   " bytes missing"));
-            return false;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno != EAGAIN && errno != EWOULDBLOCK) {
-            setError(error,
-                     strCat("recv() failed: ", std::strerror(errno)));
-            return false;
-        }
-        const int wait = remainingMs(deadline);
-        if (wait == 0) {
-            setError(error, strCat("recv timed out after ",
-                                   timeout_ms, " ms with ", len - off,
-                                   " bytes missing"));
-            return false;
-        }
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        const int r = ::poll(&pfd, 1, wait);
-        if (r < 0 && errno != EINTR) {
-            setError(error,
-                     strCat("poll() failed: ", std::strerror(errno)));
-            return false;
-        }
-    }
-    return true;
+    return sendAllNonBlocking(fd, data, len, timeout_ms, error);
 }
 
 bool
@@ -373,6 +334,12 @@ void
 FrameConn::reset(int fd)
 {
     close();
+    if (fd >= 0 && !setNonBlocking(fd)) {
+        TIE_WARN("FrameConn: fcntl(O_NONBLOCK) failed: ",
+                 std::strerror(errno), "; closing fd ", fd);
+        ::close(fd);
+        return;
+    }
     fd_ = fd;
 }
 
@@ -384,58 +351,85 @@ FrameConn::close()
         fd_ = -1;
     }
     rx_.clear();
+    rx_begin_ = rx_end_ = 0;
+}
+
+bool
+FrameConn::sendEncoded(const std::vector<uint8_t> &frame,
+                       int timeout_ms, std::string *error)
+{
+    if (fd_ < 0) {
+        setError(error, "sendFrame on a closed connection");
+        return false;
+    }
+    return sendAllNonBlocking(fd_, frame.data(), frame.size(),
+                              timeout_ms, error);
 }
 
 bool
 FrameConn::sendFrame(WireType type, const void *payload, size_t len,
                      int timeout_ms, std::string *error)
 {
-    if (fd_ < 0) {
-        setError(error, "sendFrame on a closed connection");
-        return false;
-    }
-    const std::vector<uint8_t> frame = encodeFrame(type, payload, len);
-    return sendAllTimed(fd_, frame.data(), frame.size(), timeout_ms,
-                        error);
+    return sendEncoded(encodeFrame(type, payload, len), timeout_ms,
+                       error);
 }
 
 FrameConn::RecvStatus
-FrameConn::recvFrame(WireFrame *out, int timeout_ms,
+FrameConn::recvFrame(WireFrameView *out, int timeout_ms,
                      std::string *error)
 {
+    // Small frames arriving back to back share one recv; a validated
+    // header's claim is read ahead at most this far before its bytes
+    // arrive, so a lying length cannot balloon the buffer.
+    constexpr size_t kMinRead = 4096;
+    constexpr size_t kMaxReadAhead = size_t(1) << 20;
+
     if (fd_ < 0) {
         setError(error, "recvFrame on a closed connection");
-        return RecvStatus::Closed;
-    }
-    if (!setNonBlocking(fd_)) {
-        setError(error, strCat("fcntl(O_NONBLOCK) failed: ",
-                               std::strerror(errno)));
         return RecvStatus::Closed;
     }
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(timeout_ms);
     for (;;) {
-        if (!rx_.empty()) {
-            size_t consumed = 0;
+        if (rx_begin_ == rx_end_)
+            rx_begin_ = rx_end_ = 0; // the last view dies with this call
+        const size_t avail = rx_end_ - rx_begin_;
+        size_t need = kWireHeaderSize;
+        if (avail != 0) {
             const DecodeStatus st = tryDecodeFrame(
-                rx_.data(), rx_.size(), out, &consumed, error);
+                rx_.data() + rx_begin_, avail, out, &need, error);
             if (st == DecodeStatus::Ok) {
-                rx_.erase(rx_.begin(),
-                          rx_.begin() +
-                              static_cast<ptrdiff_t>(consumed));
+                // Consumed by offset: the bytes stay put (and the
+                // view valid) until the next call reuses the space.
+                rx_begin_ += need;
                 return RecvStatus::Ok;
             }
             if (st == DecodeStatus::Corrupt)
                 return RecvStatus::Corrupt;
         }
-        uint8_t buf[4096];
-        const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+        // Room for the rest of this frame (bounded read-ahead), read
+        // straight into the buffer.
+        const size_t want = std::max(
+            kMinRead, std::min(need - avail, kMaxReadAhead));
+        if (rx_.size() - rx_end_ < want) {
+            if (rx_begin_ != 0) {
+                if (avail != 0)
+                    std::memmove(rx_.data(), rx_.data() + rx_begin_,
+                                 avail);
+                rx_begin_ = 0;
+                rx_end_ = avail;
+            }
+            if (rx_.size() - rx_end_ < want)
+                rx_.resize(rx_end_ + want);
+        }
+        const ssize_t n = ::recv(fd_, rx_.data() + rx_end_,
+                                 rx_.size() - rx_end_, 0);
         if (n > 0) {
-            rx_.insert(rx_.end(), buf, buf + n);
+            rx_end_ += static_cast<size_t>(n);
             continue;
         }
         if (n == 0) {
-            if (!rx_.empty())
+            if (avail != 0)
                 setError(error, "peer closed mid-frame");
             return RecvStatus::Closed;
         }
@@ -459,6 +453,18 @@ FrameConn::recvFrame(WireFrame *out, int timeout_ms,
             return RecvStatus::Closed;
         }
     }
+}
+
+FrameConn::RecvStatus
+FrameConn::recvFrame(WireFrame *out, int timeout_ms, std::string *error)
+{
+    WireFrameView v;
+    const RecvStatus st = recvFrame(&v, timeout_ms, error);
+    if (st == RecvStatus::Ok) {
+        out->type = v.type;
+        out->payload.assign(v.payload, v.payload + v.size);
+    }
+    return st;
 }
 
 } // namespace cluster

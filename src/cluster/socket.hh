@@ -27,6 +27,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/wire.hh"
 
@@ -64,13 +66,6 @@ bool setNonBlocking(int fd);
 bool sendAllTimed(int fd, const void *data, size_t len, int timeout_ms,
                   std::string *error = nullptr);
 
-/**
- * Receive exactly @p len bytes with a deadline (poll(POLLIN)-gated
- * nonblocking recv). False on timeout, EOF or error.
- */
-bool recvAllTimed(int fd, void *data, size_t len, int timeout_ms,
-                  std::string *error = nullptr);
-
 /** A bound, listening socket (close with closeListener). */
 struct Listener
 {
@@ -104,15 +99,16 @@ int connectTimed(const Endpoint &ep, int timeout_ms,
 /**
  * A connected peer speaking the wire protocol: owns the fd plus an
  * incremental receive buffer, so partially-arrived frames survive
- * between recvFrame calls. Not thread-safe; callers serialize sends
- * and receives independently (one writer, one reader is fine —
- * the buffer is only touched by recvFrame).
+ * between recvFrame calls. The fd is made nonblocking once, when the
+ * connection adopts it. Not thread-safe; callers serialize sends and
+ * receives independently (one writer, one reader is fine — the
+ * buffer is only touched by recvFrame).
  */
 class FrameConn
 {
   public:
     FrameConn() = default;
-    explicit FrameConn(int fd) : fd_(fd) {}
+    explicit FrameConn(int fd) { reset(fd); }
     ~FrameConn() { close(); }
 
     FrameConn(const FrameConn &) = delete;
@@ -126,6 +122,9 @@ class FrameConn
             fd_ = o.fd_;
             o.fd_ = -1;
             rx_ = std::move(o.rx_);
+            rx_begin_ = o.rx_begin_;
+            rx_end_ = o.rx_end_;
+            o.rx_begin_ = o.rx_end_ = 0;
         }
         return *this;
     }
@@ -133,7 +132,12 @@ class FrameConn
     bool open() const { return fd_ >= 0; }
     int fd() const { return fd_; }
 
-    /** Adopt @p fd (closing any previous one); clears the buffer. */
+    /**
+     * Adopt @p fd (closing any previous one) and make it nonblocking;
+     * clears the buffer. An fd that cannot be made nonblocking could
+     * block without bound, so it is closed and the connection stays
+     * closed.
+     */
     void reset(int fd = -1);
 
     void close();
@@ -149,6 +153,10 @@ class FrameConn
                          timeout_ms, error);
     }
 
+    /** Send an already-encoded frame (header and payload). */
+    bool sendEncoded(const std::vector<uint8_t> &frame, int timeout_ms,
+                     std::string *error = nullptr);
+
     /** Outcome of recvFrame. */
     enum class RecvStatus { Ok, Timeout, Closed, Corrupt };
 
@@ -158,13 +166,22 @@ class FrameConn
      * later call continues it); Closed means orderly EOF between
      * frames or mid-frame death; Corrupt is the wire protocol's
      * fail-stop rejection (the connection must be dropped).
+     *
+     * The view overload returns the frame in place: its payload
+     * points into the receive buffer and stays valid until the next
+     * recvFrame, reset or close on this connection.
      */
+    RecvStatus recvFrame(WireFrameView *out, int timeout_ms,
+                         std::string *error = nullptr);
     RecvStatus recvFrame(WireFrame *out, int timeout_ms,
                          std::string *error = nullptr);
 
   private:
     int fd_ = -1;
+    /** Receive buffer; bytes [rx_begin_, rx_end_) are unconsumed. */
     std::vector<uint8_t> rx_;
+    size_t rx_begin_ = 0;
+    size_t rx_end_ = 0;
 };
 
 } // namespace cluster

@@ -27,6 +27,12 @@
  * The payload layouts of the typed messages are documented field by
  * field in docs/cluster.md; every decoder validates the exact payload
  * size against the message's own fields before reading a value.
+ *
+ * The hot path (InferRequest/InferResponse) costs one pass per byte on
+ * each side: the *Frame encoders write header and payload into one
+ * buffer, and the view decoders read the payload in place from the
+ * receive window, copying each f64 array into its message once (one
+ * memcpy on little-endian hosts).
  */
 
 #ifndef TIE_CLUSTER_WIRE_HH
@@ -72,11 +78,28 @@ enum class WireType : uint32_t
 /** True for the type values a v1 peer may legally send. */
 bool wireTypeKnown(uint32_t t);
 
+/**
+ * One decoded frame viewed in place: @p payload points into the
+ * window it was decoded from and lives exactly as long as that window.
+ */
+struct WireFrameView
+{
+    WireType type = WireType::Hello;
+    const uint8_t *payload = nullptr;
+    size_t size = 0;
+};
+
 /** One decoded frame: the type plus the raw payload bytes. */
 struct WireFrame
 {
     WireType type = WireType::Hello;
     std::vector<uint8_t> payload;
+
+    /** View of the payload (valid while this frame is unchanged). */
+    operator WireFrameView() const
+    {
+        return {type, payload.data(), payload.size()};
+    }
 };
 
 /** Outcome of tryDecodeFrame over a byte window. */
@@ -94,11 +117,19 @@ std::vector<uint8_t> encodeFrame(WireType type, const void *payload,
 
 /**
  * Decode one frame from the first @p len bytes at @p data. On Ok,
- * fills @p out and sets @p consumed to the frame's total size. On
+ * fills @p out (a view into @p data) and sets @p consumed to the
+ * frame's total size. On NeedMore, @p consumed receives the window
+ * length the frame needs so far: kWireHeaderSize until the header is
+ * whole, then the whole frame's size once the header validated. On
  * Corrupt, @p error (when non-null) receives a diagnostic. NeedMore
  * is only returned while the window is shorter than the frame claims
  * *and* every byte seen so far is consistent with a valid frame.
  */
+DecodeStatus tryDecodeFrame(const uint8_t *data, size_t len,
+                            WireFrameView *out, size_t *consumed,
+                            std::string *error = nullptr);
+
+/** tryDecodeFrame, copying the payload out of the window. */
 DecodeStatus tryDecodeFrame(const uint8_t *data, size_t len,
                             WireFrame *out, size_t *consumed,
                             std::string *error = nullptr);
@@ -149,16 +180,31 @@ struct HealthReportMsg
 };
 
 std::vector<uint8_t> encodeHelloAck(const HelloAckMsg &m);
-bool decodeHelloAck(const WireFrame &f, HelloAckMsg *out);
+bool decodeHelloAck(const WireFrameView &f, HelloAckMsg *out);
 
 std::vector<uint8_t> encodeInferRequest(const InferRequestMsg &m);
-bool decodeInferRequest(const WireFrame &f, InferRequestMsg *out);
+bool decodeInferRequest(const WireFrameView &f, InferRequestMsg *out);
 
 std::vector<uint8_t> encodeInferResponse(const InferResponseMsg &m);
-bool decodeInferResponse(const WireFrame &f, InferResponseMsg *out);
+bool decodeInferResponse(const WireFrameView &f, InferResponseMsg *out);
 
 std::vector<uint8_t> encodeHealthReport(const HealthReportMsg &m);
-bool decodeHealthReport(const WireFrame &f, HealthReportMsg *out);
+bool decodeHealthReport(const WireFrameView &f, HealthReportMsg *out);
+
+/**
+ * Encode a whole InferRequest frame, header and payload, into @p out
+ * (resized) in one pass: the same bytes as
+ * encodeFrame(InferRequest, encodeInferRequest(m)) for a message
+ * holding @p n activations at @p x.
+ */
+void encodeInferRequestFrame(uint64_t req_id, uint64_t deadline_us,
+                             const double *x, size_t n,
+                             std::vector<uint8_t> *out);
+
+/** The InferResponse counterpart of encodeInferRequestFrame. */
+void encodeInferResponseFrame(uint64_t req_id, uint32_t status,
+                              const double *y, size_t n,
+                              std::vector<uint8_t> *out);
 
 } // namespace cluster
 } // namespace tie

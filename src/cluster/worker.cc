@@ -136,10 +136,13 @@ ClusterWorker::pushItem(Conn &c, Item item)
 void
 ClusterWorker::readerLoop(Conn &c)
 {
+    // Reused across frames: each request is copied out of the
+    // receive window once, into an already-sized buffer.
+    InferRequestMsg req;
     for (;;) {
         if (stop_flag_.load(std::memory_order_relaxed))
             break;
-        WireFrame f;
+        WireFrameView f;
         std::string err;
         const FrameConn::RecvStatus st =
             c.io.recvFrame(&f, kTickMs, &err);
@@ -184,11 +187,10 @@ ClusterWorker::readerLoop(Conn &c)
             break;
           }
           case WireType::InferRequest: {
-            InferRequestMsg req;
             if (!decodeInferRequest(f, &req) ||
                 req.x.size() != server_->inSize()) {
                 TIE_WARN("cluster worker: malformed InferRequest "
-                         "(payload ", f.payload.size(),
+                         "(payload ", f.size,
                          " bytes); dropping connection");
                 goto done;
             }
@@ -255,6 +257,8 @@ done:
 void
 ClusterWorker::writerLoop(Conn &c)
 {
+    std::vector<double> y;
+    std::vector<uint8_t> frame; // reused: one encode pass per response
     for (;;) {
         Item item;
         {
@@ -270,25 +274,21 @@ ClusterWorker::writerLoop(Conn &c)
             // Every accepted ticket is waited even when the peer is
             // gone: slots must recycle and the done/shed accounting
             // must stay exact.
-            std::vector<double> y;
             const serve::RequestStatus st =
                 server_->wait(item.ticket, &y);
             in_flight_.fetch_sub(1);
-            InferResponseMsg resp;
-            resp.req_id = item.req_id;
-            resp.status = static_cast<uint32_t>(st);
-            if (st == serve::RequestStatus::Done) {
+            const bool done = st == serve::RequestStatus::Done;
+            if (done)
                 done_.fetch_add(1);
-                resp.y = std::move(y);
-            } else {
+            else
                 shed_.fetch_add(1);
-            }
-            const std::vector<uint8_t> payload =
-                encodeInferResponse(resp);
+            encodeInferResponseFrame(item.req_id,
+                                     static_cast<uint32_t>(st),
+                                     y.data(), done ? y.size() : 0,
+                                     &frame);
             std::string err;
             if (c.io.open() &&
-                !c.io.sendFrame(WireType::InferResponse, payload,
-                                opts_.io_timeout_ms, &err))
+                !c.io.sendEncoded(frame, opts_.io_timeout_ms, &err))
                 TIE_WARN_ONCE("cluster worker: response send "
                               "failed: ", err);
             continue;

@@ -2,8 +2,11 @@
  * @file
  * CRC-32 (IEEE 802.3: polynomial 0xEDB88320, reflected, init/final
  * xor 0xFFFFFFFF) — the per-section integrity check of the .tie model
- * artifact (tie_format.hh). Self-contained table-driven
- * implementation; matches zlib's crc32() bit for bit.
+ * artifact (tie_format.hh) and of every cluster wire frame
+ * (cluster/wire.hh). Self-contained slicing-by-8 implementation (eight
+ * bytes per step through eight 256-entry tables, on four interleaved
+ * lanes for long buffers); matches zlib's crc32() bit for bit. Not
+ * CRC-32C: the SSE4.2 crc32 instruction computes a different checksum.
  */
 
 #ifndef TIE_IO_CRC32_HH

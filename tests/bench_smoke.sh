@@ -6,8 +6,9 @@
 # paper numbers are deterministic; only host wall-clock stats may vary).
 #
 # With --micro BIN, instead smoke-tests the google-benchmark micro
-# binary: runs the session-vs-per-call inference family briefly and
-# validates the BENCH_micro.json report it writes by default.
+# binary: runs the session-vs-per-call inference family, the per-ISA
+# kernels and the wire codec briefly and validates the BENCH_micro.json
+# report it writes by default.
 #
 # With --serve BIN, runs the serving sweep (serve_sweep --quick) and
 # validates the BENCH_serve.json schema: the structured per-point
@@ -24,7 +25,8 @@ trap 'rm -rf "$DIR"' EXIT
 
 if [ "$1" = "--micro" ]; then
     BIN="$2"
-    (cd "$DIR" && "$BIN" --benchmark_filter='BM_TtInfer|_Isa|_Packed' \
+    (cd "$DIR" && "$BIN" \
+        --benchmark_filter='BM_TtInfer|_Isa|_Packed|BM_Crc32|BM_Wire' \
                          --benchmark_min_time=0.01 >/dev/null 2>&1)
     python3 -m json.tool "$DIR/BENCH_micro.json" >/dev/null
     python3 - "$DIR/BENCH_micro.json" <<'EOF'
@@ -38,7 +40,10 @@ for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
              "BM_GemmF32_Isa/scalar",
              "BM_GemmF32_Packed/scalar", "BM_GemmF32_PackedFast/scalar",
              "BM_GemmGatheredF32_Packed/scalar",
-             "BM_FxpMatmul_Isa/scalar"):
+             "BM_FxpMatmul_Isa/scalar",
+             # the wire codec (UseRealTime appends /real_time)
+             "BM_Crc32/32816/real_time",
+             "BM_WireInferRoundTrip/real_time"):
     assert want in names, f"missing {want}: {sorted(names)}"
 EOF
     echo "micro bench smoke ok"

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -151,6 +152,142 @@ TEST(Wire, TypedMessagesRoundTripBitExactly)
     EXPECT_EQ(rep2.done, 100u);
     EXPECT_EQ(rep2.shed, 3u);
     EXPECT_EQ(rep2.draining, 1u);
+}
+
+/** The double with IEEE-754 bit pattern @p bits. */
+double
+f64Bits(uint64_t bits)
+{
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+/** The hostile values every f64 payload test carries, in order. */
+std::vector<double>
+hostileDoubles()
+{
+    return {f64Bits(0x8000000000000000ull),  // -0.0
+            f64Bits(0xFFF800000000BEEFull),  // NaN with payload bits
+            f64Bits(0x000FFFFFFFFFFFFFull),  // largest denormal
+            f64Bits(0x7FF0000000000000ull),  // +inf
+            f64Bits(0xFFF0000000000000ull),  // -inf
+            f64Bits(0x3FF0000000000000ull)}; // 1.0
+}
+
+/** hostileDoubles() as little-endian wire bytes. */
+const uint8_t kHostileDoublesLe[6 * 8] = {
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, //
+    0xEF, 0xBE, 0x00, 0x00, 0x00, 0x00, 0xF8, 0xFF, //
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x7F, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0xFF, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F, //
+};
+
+TEST(Wire, InferPayloadGoldenBytes)
+{
+    // Pin the payload layouts byte for byte: a round trip alone would
+    // pass a layout bug that encoder and decoder share.
+    InferRequestMsg req;
+    req.req_id = 0x0102030405060708ull;
+    req.deadline_us = 0x1122334455667788ull;
+    req.x = hostileDoubles();
+    std::vector<uint8_t> want = {0x08, 0x07, 0x06, 0x05,
+                                 0x04, 0x03, 0x02, 0x01, // req_id
+                                 0x88, 0x77, 0x66, 0x55,
+                                 0x44, 0x33, 0x22, 0x11}; // deadline
+    want.insert(want.end(), std::begin(kHostileDoublesLe),
+                std::end(kHostileDoublesLe));
+    EXPECT_EQ(encodeInferRequest(req), want);
+
+    InferResponseMsg resp;
+    resp.req_id = 0x0A0B0C0D0E0F1011ull;
+    resp.status = 3;
+    resp.y = hostileDoubles();
+    want = {0x11, 0x10, 0x0F, 0x0E, 0x0D, 0x0C, 0x0B, 0x0A, // req_id
+            0x03, 0x00, 0x00, 0x00,                         // status
+            0x00, 0x00, 0x00, 0x00};                        // reserved
+    want.insert(want.end(), std::begin(kHostileDoublesLe),
+                std::end(kHostileDoublesLe));
+    EXPECT_EQ(encodeInferResponse(resp), want);
+
+    // And the decoders read those exact bytes back to the same bits.
+    WireFrame f;
+    f.type = WireType::InferResponse;
+    f.payload = want;
+    InferResponseMsg back;
+    ASSERT_TRUE(decodeInferResponse(f, &back));
+    EXPECT_EQ(back.req_id, resp.req_id);
+    ASSERT_EQ(back.y.size(), resp.y.size());
+    EXPECT_EQ(std::memcmp(back.y.data(), resp.y.data(),
+                          resp.y.size() * sizeof(double)),
+              0);
+}
+
+TEST(Wire, OnePassFramesEqualTwoStepEncoding)
+{
+    for (const size_t n : {size_t(0), size_t(1), size_t(6), size_t(4096)}) {
+        std::vector<double> v(n);
+        const std::vector<double> hostile = hostileDoubles();
+        for (size_t i = 0; i < n; ++i)
+            v[i] = i < hostile.size() ? hostile[i] : 0.5 * double(i);
+
+        InferRequestMsg req;
+        req.req_id = 42 + n;
+        req.deadline_us = 7;
+        req.x = v;
+        const std::vector<uint8_t> rp = encodeInferRequest(req);
+        std::vector<uint8_t> frame = {0xde, 0xad}; // overwritten
+        encodeInferRequestFrame(req.req_id, req.deadline_us, v.data(),
+                                n, &frame);
+        EXPECT_EQ(frame, encodeFrame(WireType::InferRequest, rp.data(),
+                                     rp.size()))
+            << n << " values";
+
+        InferResponseMsg resp;
+        resp.req_id = 9;
+        resp.status = 1;
+        resp.y = v;
+        const std::vector<uint8_t> sp = encodeInferResponse(resp);
+        encodeInferResponseFrame(resp.req_id, resp.status, v.data(), n,
+                                 &frame);
+        EXPECT_EQ(frame, encodeFrame(WireType::InferResponse,
+                                     sp.data(), sp.size()))
+            << n << " values";
+
+        // The view decode reads the payload in place, inside the frame.
+        WireFrameView view;
+        size_t used = 0;
+        ASSERT_EQ(tryDecodeFrame(frame.data(), frame.size(), &view,
+                                 &used),
+                  DecodeStatus::Ok);
+        EXPECT_EQ(used, frame.size());
+        EXPECT_EQ(view.payload, frame.data() + kWireHeaderSize);
+        EXPECT_EQ(view.size, sp.size());
+        InferResponseMsg back;
+        ASSERT_TRUE(decodeInferResponse(view, &back));
+        ASSERT_EQ(back.y.size(), n);
+        if (n != 0) {
+            EXPECT_EQ(std::memcmp(back.y.data(), v.data(), n * 8), 0);
+        }
+    }
+}
+
+TEST(Wire, NeedMoreReportsTheWindowTheFrameNeeds)
+{
+    const std::vector<uint8_t> payload(100, 0x33);
+    const std::vector<uint8_t> frame = encodeFrame(
+        WireType::InferRequest, payload.data(), payload.size());
+    WireFrameView view;
+    size_t need = 0;
+    EXPECT_EQ(tryDecodeFrame(frame.data(), 10, &view, &need),
+              DecodeStatus::NeedMore);
+    EXPECT_EQ(need, kWireHeaderSize);
+    EXPECT_EQ(tryDecodeFrame(frame.data(), kWireHeaderSize + 1, &view,
+                             &need),
+              DecodeStatus::NeedMore);
+    EXPECT_EQ(need, frame.size());
 }
 
 TEST(Wire, TypedDecodersRejectMalformedPayloads)
@@ -379,6 +516,69 @@ TEST(Socket, FrameConnReassemblesSplitFramesAndFailsStop)
     rx.reset(sv[1] >= 0 ? ::dup(sv[1]) : -1);
     ::close(sv[0]);
     EXPECT_EQ(rx.recvFrame(&out, 1000), FrameConn::RecvStatus::Closed);
+}
+
+TEST(Socket, FrameConnStreamsLargeFramesInPlace)
+{
+    // Many 32 KiB frames back to back through a small socket buffer:
+    // every frame arrives whole and in order through the view API,
+    // whatever the split points, with the buffer reused in place.
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    FrameConn rx(sv[1]);
+    constexpr size_t kFrames = 24;
+    constexpr size_t kValues = 4096;
+    std::vector<uint8_t> stream;
+    for (size_t k = 0; k < kFrames; ++k) {
+        std::vector<double> y(kValues);
+        for (size_t i = 0; i < kValues; ++i)
+            y[i] = double(k * kValues + i);
+        std::vector<uint8_t> frame;
+        encodeInferResponseFrame(k, 3, y.data(), y.size(), &frame);
+        stream.insert(stream.end(), frame.begin(), frame.end());
+        if (k % 4 == 3) { // interleave small frames
+            const std::vector<uint8_t> hc =
+                encodeFrame(WireType::HealthCheck, nullptr, 0);
+            stream.insert(stream.end(), hc.begin(), hc.end());
+        }
+    }
+    std::thread writer([&] {
+        // Odd-sized writes so frames straddle every recv.
+        size_t off = 0;
+        while (off < stream.size()) {
+            const size_t n = std::min<size_t>(5003, stream.size() - off);
+            const ssize_t w = ::send(sv[0], stream.data() + off, n, 0);
+            if (w <= 0)
+                break;
+            off += static_cast<size_t>(w);
+        }
+    });
+    const auto readAll = [&] {
+        for (size_t k = 0; k < kFrames; ++k) {
+            WireFrameView f;
+            ASSERT_EQ(rx.recvFrame(&f, 5000), FrameConn::RecvStatus::Ok);
+            InferResponseMsg m;
+            ASSERT_TRUE(decodeInferResponse(f, &m)) << "frame " << k;
+            EXPECT_EQ(m.req_id, k);
+            ASSERT_EQ(m.y.size(), kValues);
+            EXPECT_EQ(m.y.front(), double(k * kValues));
+            EXPECT_EQ(m.y.back(), double(k * kValues + kValues - 1));
+            if (k % 4 == 3) {
+                ASSERT_EQ(rx.recvFrame(&f, 5000),
+                          FrameConn::RecvStatus::Ok);
+                EXPECT_EQ(f.type, WireType::HealthCheck);
+                EXPECT_EQ(f.size, 0u);
+            }
+        }
+    };
+    readAll();
+    if (::testing::Test::HasFatalFailure())
+        ::shutdown(sv[1], SHUT_RDWR); // unblock the writer, then fail
+    writer.join();
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    ::close(sv[0]);
+    WireFrameView f;
+    EXPECT_EQ(rx.recvFrame(&f, 1000), FrameConn::RecvStatus::Closed);
 }
 
 TEST(Socket, ListenConnectRoundTripTcpAndUnix)

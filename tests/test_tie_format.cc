@@ -4,8 +4,9 @@
  * header layout, f64/fxp/multi-layer round-trip bit-identity, the
  * exhaustive truncation/corruption matrix (every prefix rejected,
  * every single-bit flip rejected), mmap-backed zero-copy inference
- * that is bit-identical and steady-state allocation-free, and the
- * fatal load()/parse() wrappers.
+ * that is bit-identical and steady-state allocation-free, the
+ * fatal load()/parse() wrappers, and the CRC-32 that guards every
+ * section (pinned to its known answer and a bitwise reference).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include <cstring>
 #include <fstream>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "io/crc32.hh"
 #include "io/tie_format.hh"
@@ -128,6 +131,86 @@ image(const std::vector<TtMatrix> &chain, bool fxp = false)
                             ? io::makeLayerSpec(chain[i], quant[i])
                             : io::makeLayerSpec(chain[i]));
     return io::serializeTieModel(specs);
+}
+
+// ---------------------------------------------------------------------
+// CRC-32: the checksum itself, pinned independently of its table code.
+// ---------------------------------------------------------------------
+
+/** Bit-at-a-time IEEE CRC-32 (no tables): the reference. */
+static uint32_t
+crc32Bitwise(const uint8_t *p, size_t n, uint32_t crc = 0)
+{
+    crc = ~crc;
+    for (size_t i = 0; i < n; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    return ~crc;
+}
+
+static std::vector<uint8_t>
+pseudoRandomBytes(size_t n)
+{
+    std::vector<uint8_t> b(n);
+    uint32_t s = 0x9e3779b9u;
+    for (uint8_t &v : b) {
+        s = s * 1664525u + 1013904223u;
+        v = static_cast<uint8_t>(s >> 24);
+    }
+    return b;
+}
+
+TEST(Crc32, KnownAnswer)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(io::crc32(check.data(), check.size()), 0xCBF43926u);
+    EXPECT_EQ(io::crc32(nullptr, 0), 0u);
+    EXPECT_EQ(io::crc32("a", 1), 0xE8B7BE43u);
+}
+
+TEST(Crc32, ChainingEqualsOneShot)
+{
+    const std::vector<uint8_t> b = pseudoRandomBytes(100);
+    const uint32_t whole = io::crc32(b.data(), b.size());
+    // Every split point, so both halves cross 8-byte steps and tails.
+    for (size_t cut = 0; cut <= b.size(); ++cut) {
+        const uint32_t head = io::crc32(b.data(), cut);
+        EXPECT_EQ(io::crc32(b.data() + cut, b.size() - cut, head), whole)
+            << "split at " << cut;
+    }
+    // Long pieces too, which take the interleaved-lane path.
+    const std::vector<uint8_t> big = pseudoRandomBytes(32 * 1024 + 48);
+    const uint32_t big_whole = io::crc32(big.data(), big.size());
+    for (const size_t cut : {size_t(1), size_t(2047), size_t(2048),
+                             size_t(5000), big.size() - 1}) {
+        const uint32_t head = io::crc32(big.data(), cut);
+        EXPECT_EQ(io::crc32(big.data() + cut, big.size() - cut, head),
+                  big_whole)
+            << "split at " << cut;
+    }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset)
+{
+    const std::vector<uint8_t> b = pseudoRandomBytes(64 + 8);
+    for (size_t off = 0; off < 8; ++off)
+        for (size_t len = 0; len <= 64; ++len)
+            EXPECT_EQ(io::crc32(b.data() + off, len),
+                      crc32Bitwise(b.data() + off, len))
+                << "offset " << off << " length " << len;
+    // Long buffers around the 2 KiB interleaved-lane block, and one
+    // 32 KiB buffer: a whole 4096-value f64 wire frame.
+    const std::vector<uint8_t> big = pseudoRandomBytes(32 * 1024 + 48);
+    for (size_t off = 0; off < 8; ++off)
+        for (const size_t len : {size_t(2047), size_t(2048), size_t(2049),
+                                 size_t(6151)})
+            EXPECT_EQ(io::crc32(big.data() + off, len),
+                      crc32Bitwise(big.data() + off, len))
+                << "offset " << off << " length " << len;
+    EXPECT_EQ(io::crc32(big.data(), big.size()),
+              crc32Bitwise(big.data(), big.size()));
 }
 
 // ---------------------------------------------------------------------
