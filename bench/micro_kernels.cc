@@ -9,8 +9,10 @@
  *
  * The *_Threads benchmarks sweep the pool size over the same input so
  * the parallel layer's speedup is measured, not asserted: compare e.g.
- * BM_CompactInfer_Batch32_Threads/1 against .../4 (the kernels are
- * deterministic, so outputs are bit-identical across the sweep).
+ * BM_CompactInfer_Batch32_Threads/1/real_time against .../4/real_time
+ * (the kernels are deterministic, so outputs are bit-identical across
+ * the sweep). They time wall-clock (UseRealTime): main-thread CPU time
+ * would hide the work done on the pool's worker threads.
  *
  * Unless --benchmark_out is given, results are also written to
  * BENCH_micro.json (google-benchmark's JSON format) so every run
@@ -158,7 +160,28 @@ BM_Matmul_Threads(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 256 * 256 * 256);
     setThreadCount(ambient);
 }
-BENCHMARK(BM_Matmul_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_Matmul_Threads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
+
+void
+BM_Matmul_Narrow(benchmark::State &state)
+{
+    // 512 x n x 512 f64 with n <= 8: matmul packs A per call, and for
+    // narrow B the pack costs about as much as the product itself.
+    const size_t n = state.range(0);
+    Rng rng(10);
+    MatrixD a(512, 512), b(512, n);
+    a.setNormal(rng);
+    b.setNormal(rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(matmul(a, b));
+    state.SetItemsProcessed(state.iterations() * 512 * 512 * n);
+}
+BENCHMARK(BM_Matmul_Narrow)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
 void
 BM_CompactInfer_Batch32_Threads(benchmark::State &state)
@@ -175,7 +198,12 @@ BM_CompactInfer_Batch32_Threads(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * multCompact(cfg) * 32);
     setThreadCount(ambient);
 }
-BENCHMARK(BM_CompactInfer_Batch32_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_CompactInfer_Batch32_Threads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 void
 BM_FxpMatmul_Threads(benchmark::State &state)
@@ -195,7 +223,12 @@ BM_FxpMatmul_Threads(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * m * k * n);
     setThreadCount(ambient);
 }
-BENCHMARK(BM_FxpMatmul_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_FxpMatmul_Threads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 // ---------------------------------------------------------------------
 // Per-call vs. session inference: the per-call path rebuilds the plan
@@ -385,35 +418,20 @@ BENCHMARK(BM_WireInferRoundTrip)->UseRealTime();
 // Per-ISA kernel sweeps: the explicit-Isa entry points of the SIMD
 // layer on a short/wide TT-stage shape, one registration per ISA the
 // host supports (registered from main; BENCHMARK() can't enumerate the
-// host's ISAs statically). Compare e.g. BM_GemmF32_Isa/scalar against
-// .../avx2 — the outputs are bit-identical across the sweep, only the
-// wall-clock differs.
+// host's ISAs statically). Compare e.g. BM_GemmF32_Packed/scalar
+// against .../avx2 — the outputs are bit-identical across the sweep,
+// only the wall-clock differs.
 // ---------------------------------------------------------------------
 
 constexpr size_t kIsaM = 64, kIsaK = 64, kIsaN = 4096;
 
 void
-BM_GemmF32_Isa(benchmark::State &state, simd::Isa isa)
-{
-    Rng rng(11);
-    MatrixF a(kIsaM, kIsaK), b(kIsaK, kIsaN), c(kIsaM, kIsaN);
-    a.setUniform(rng, -1, 1);
-    b.setUniform(rng, -1, 1);
-    for (auto _ : state) {
-        c.fill(0.0f);
-        simd::gemmTileF32(isa, kIsaN, kIsaK, a.data(), b.data(),
-                          c.data(), 0, kIsaM, 0, kIsaN);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);
-}
-
-void
 BM_GemmF32_Packed(benchmark::State &state, simd::Isa isa, bool fast)
 {
-    // Same operands as BM_GemmF32_Isa, consumed through the packed
-    // register-blocked microkernel (pack cost excluded — sessions pack
-    // once at warm-up). fast=true additionally permits FMA.
+    // A short/wide TT-stage shape through the packed register-blocked
+    // microkernel (pack cost excluded — sessions pack once at warm-up;
+    // BM_Matmul_Threads covers matmul's per-call pack). fast=true
+    // additionally permits FMA.
     Rng rng(11);
     MatrixF a(kIsaM, kIsaK), b(kIsaK, kIsaN), c(kIsaM, kIsaN);
     a.setUniform(rng, -1, 1);
@@ -505,9 +523,6 @@ registerIsaSweeps()
         if (!simd::isaSupported(isa))
             continue;
         const std::string name = simd::isaName(isa);
-        benchmark::RegisterBenchmark(
-            ("BM_GemmF32_Isa/" + name).c_str(),
-            [isa](benchmark::State &s) { BM_GemmF32_Isa(s, isa); });
         benchmark::RegisterBenchmark(
             ("BM_GemmF32_Packed/" + name).c_str(),
             [isa](benchmark::State &s) {

@@ -697,15 +697,17 @@ TieModel::Rep::parse(std::string *err)
         }
     }
 
-    // Graph: a permutation-free execution list whose chain interfaces
-    // line up. v1 writers emit the identity chain, but the reader
-    // only demands valid ids and matching interfaces.
+    // Graph: an execution list that runs every layer exactly once and
+    // whose chain interfaces line up. v1 writers emit the identity
+    // chain; the reader demands valid, unrepeated ids and matching
+    // interfaces.
     {
         Cursor c(base + graph->offset, graph->size);
         uint64_t n = 0;
         if (!c.read(&n) || n != n_layers)
             return fail("graph node count differs from layer count");
         rep.order.resize(n);
+        std::vector<bool> seen(n, false);
         for (uint64_t k = 0; k < n; ++k) {
             uint32_t id = 0;
             if (!c.read(&id))
@@ -713,6 +715,11 @@ TieModel::Rep::parse(std::string *err)
             if (id >= n_layers)
                 return fail(strCat("graph references layer ", id,
                                    " of ", n_layers));
+            if (seen[id])
+                return fail(strCat("graph step ", k, " repeats layer ",
+                                   id, "; each layer must run exactly "
+                                   "once"));
+            seen[id] = true;
             rep.order[k] = id;
         }
         if (!c.exhausted())

@@ -1,8 +1,11 @@
 /**
  * @file
  * Blocked, multithreaded GEMM/GEMV kernels on raw row-major buffers.
- * matmul / matVec (linalg) and fxpMatmul (quant) dispatch here, so
- * every GEMM-shaped stage in the library shares one execution layer.
+ * matmul / matVec (linalg), InferSession (tt) and fxpMatmul (quant)
+ * dispatch here, so every GEMM-shaped stage in the library shares one
+ * execution layer. Every float/double GEMM runs over a packed A
+ * operand (linalg/pack.hh): sessions pack their cores once, matmul
+ * packs per call.
  *
  * Determinism: work is partitioned over *output* rows or columns, so
  * each output element is produced by exactly one chunk and its k-loop
@@ -13,7 +16,7 @@
  * of thousands of batched columns), so the kernels split whichever
  * output axis is larger rather than always splitting rows.
  *
- * Float and double tiles dispatch to the SIMD kernel layer
+ * Float and double tiles dispatch to the packed SIMD microkernels
  * (linalg/simd.hh): lanes run across output columns only, so the SIMD
  * paths are bit-identical to the scalar reference for every ISA and
  * the determinism guarantee above is ISA-independent.
@@ -45,6 +48,8 @@ struct KernelStats
     obs::Gauge &simd_isa; ///< active dispatch path (simd::Isa ordinal)
     obs::Counter &packed_panels; ///< operand panels packed (A + B)
     obs::Counter &pack_bytes;    ///< bytes written into packed panels
+    obs::Counter &fxp_simd_macs;   ///< fxp MACs run in SIMD lanes
+    obs::Counter &fxp_scalar_macs; ///< fxp MACs run by the scalar chain
 
     static KernelStats &
     get()
@@ -69,6 +74,13 @@ struct KernelStats
             obs::StatRegistry::instance().counter(
                 "gemm.pack_bytes",
                 "bytes written into packed operand panels"),
+            obs::StatRegistry::instance().counter(
+                "fxp.simd_macs",
+                "fixed-point MACs run by the SIMD lane chain"),
+            obs::StatRegistry::instance().counter(
+                "fxp.scalar_macs",
+                "fixed-point MACs run by the scalar chain (Isa::Scalar "
+                "or a format fxpSimdEligible rejects)"),
         };
         return s;
     }
@@ -94,76 +106,6 @@ simdWidth()
 }
 
 /**
- * C[i0:i1, j0:j1) += A[i0:i1, :] * B[:, j0:j1) with A (m x k), B
- * (k x n), C (m x n) row-major. The k loop is tiled but still ascends
- * monotonically per output element, matching the naive i-k-j loop
- * bit-for-bit. float/double tiles run the SIMD kernel layer
- * (linalg/simd.hh), which preserves exactly that per-element chain.
- */
-template <typename T>
-inline void
-gemmTile(size_t n, size_t k, const T *a, const T *b, T *c, size_t i0,
-         size_t i1, size_t j0, size_t j1)
-{
-    if constexpr (std::is_same_v<T, float>) {
-        simd::gemmTileF32(simd::activeIsa(), n, k, a, b, c, i0, i1, j0,
-                          j1);
-    } else if constexpr (std::is_same_v<T, double>) {
-        simd::gemmTileF64(simd::activeIsa(), n, k, a, b, c, i0, i1, j0,
-                          j1);
-    } else {
-        for (size_t k0 = 0; k0 < k; k0 += kDepthBlock) {
-            const size_t k1 = std::min(k, k0 + kDepthBlock);
-            for (size_t i = i0; i < i1; ++i) {
-                const T *arow = a + i * k;
-                T *crow = c + i * n;
-                for (size_t kk = k0; kk < k1; ++kk) {
-                    const T aik = arow[kk];
-                    const T *brow = b + kk * n;
-                    for (size_t j = j0; j < j1; ++j)
-                        crow[j] += aik * brow[j];
-                }
-            }
-        }
-    }
-}
-
-/**
- * C = A * B (C must be zero-initialised; m x n row-major), parallelised
- * over blocks of the larger output axis.
- */
-template <typename T>
-void
-gemmBlocked(size_t m, size_t n, size_t k, const T *a, const T *b, T *c)
-{
-    if (m == 0 || n == 0 || k == 0)
-        return;
-    if (obs::enabled()) {
-        KernelStats &ks = KernelStats::get();
-        ks.gemm_calls.add();
-        ks.gemm_madds.add(m * n * k);
-        ks.simd_isa.set(static_cast<int64_t>(simd::activeIsa()));
-    }
-    obs::ScopedTimer timer(KernelStats::get().gemm_us);
-    obs::HostSpan span("gemm");
-    if (m * n * k < kParallelMinWork) {
-        gemmTile(n, k, a, b, c, 0, m, 0, n);
-        return;
-    }
-    if (m >= n) {
-        parallelFor(0, m, kRowBlock, [&](size_t i0, size_t i1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmTile(n, k, a, b, c, i0, i1, 0, n);
-        });
-    } else {
-        parallelFor(0, n, kColBlock, [&](size_t j0, size_t j1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmTile(n, k, a, b, c, 0, m, j0, j1);
-        });
-    }
-}
-
-/**
  * Gather view of a GEMM B operand, used to fuse the TT inter-stage
  * Transform (a pure permutation) into the next stage's operand read so
  * the transformed matrix is never materialized (tt/infer_session.hh).
@@ -185,7 +127,7 @@ struct GatherB
  * Inner tile over a packed A operand (linalg/pack.hh), dispatching to
  * the register-blocked microkernel. @p fast only affects float (see
  * simd::FastMode); with fast false the result is bit-identical to
- * gemmTile on the same operands for every ISA.
+ * simd::gemmRefF32/F64 on the unpacked operands for every ISA.
  */
 template <typename T>
 inline void
@@ -206,9 +148,10 @@ gemmPackedTile(size_t k, const T *pa, const T *b, size_t ldb, T *c,
 
 /**
  * C = packedA * B (C zero-initialised m x n row-major, B k x n
- * row-major, pa packed by pack::packA), parallelised like gemmBlocked.
- * kRowBlock is a multiple of pack::kRowPanel, so row chunks always
- * start on a panel boundary as the microkernel requires.
+ * row-major, pa packed by pack::packA), parallelised over blocks of
+ * the larger output axis. kRowBlock is a multiple of pack::kRowPanel,
+ * so row chunks always start on a panel boundary as the microkernel
+ * requires.
  */
 template <typename T>
 void
@@ -258,7 +201,7 @@ gemmPackedBlocked(size_t m, size_t n, size_t k, const T *pa,
  * the microkernel parallelise inside each panel, partitioned over
  * disjoint output/scratch ranges, so results are bit-identical for
  * every thread count — and, with @p fast false, to materializing the
- * permutation and running the scalar gemmTile chain.
+ * permutation and running the scalar simd::gemmRefF32/F64 chain.
  */
 template <typename T>
 void

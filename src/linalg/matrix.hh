@@ -18,6 +18,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "linalg/gemm.hh"
+#include "linalg/pack.hh"
 
 namespace tie {
 
@@ -152,10 +153,13 @@ using MatrixF = Matrix<float>;
 using MatrixD = Matrix<double>;
 
 /**
- * c = a * b via the blocked multithreaded kernel (gemm.hh). Every term
- * is executed — no data-dependent zero skipping — so wall-clock and any
- * FLOP accounting derived from shapes (rows * cols * cols) describe the
- * work actually done.
+ * c = a * b via the packed multithreaded kernel (gemm.hh): A is packed
+ * into microkernel panels per call (linalg/pack.hh), the same kernel
+ * every InferSession stage runs. Always exact: TIE_FAST does not apply,
+ * so results are bit-identical to simd::gemmRefF32/F64 on every ISA.
+ * Every term is executed — no data-dependent zero skipping — so
+ * wall-clock and any FLOP accounting derived from shapes
+ * (rows * cols * cols) describe the work actually done.
  */
 template <typename T>
 Matrix<T>
@@ -163,9 +167,17 @@ matmul(const Matrix<T> &a, const Matrix<T> &b)
 {
     TIE_CHECK_ARG(a.cols() == b.rows(), "matmul shape mismatch: ",
                   a.rows(), "x", a.cols(), " * ", b.rows(), "x", b.cols());
-    Matrix<T> c(a.rows(), b.cols());
-    gemm::gemmBlocked(a.rows(), b.cols(), a.cols(), a.data(), b.data(),
-                      c.data());
+    const size_t m = a.rows(), k = a.cols(), n = b.cols();
+    Matrix<T> c(m, n);
+    if (m == 0 || n == 0 || k == 0)
+        return c;
+    pack::AlignedBuf<T> pa;
+    pa.resize(pack::packedAElems(m, k));
+    pack::packA(m, k, a.data(), pa.data());
+    pack::addPackStats((m + pack::kRowPanel - 1) / pack::kRowPanel,
+                       pa.size() * sizeof(T));
+    gemm::gemmPackedBlocked(m, n, k, pa.data(), b.data(), c.data(),
+                            /*fast=*/false);
     return c;
 }
 

@@ -15,7 +15,9 @@
  *
  * TT inference is the ideal packing client: each stage's weight core is
  * fixed per session, so InferSession packs every core once at warm-up
- * (tt/infer_session.hh) and the per-call cost is zero. The gathered
+ * (tt/infer_session.hh) and the per-call cost is zero. matmul
+ * (linalg/matrix.hh) packs its A operand per call into a scratch
+ * AlignedBuf, so it runs the same microkernels. The gathered
  * (fused-Transform) operand is packed per column panel into a
  * session-owned scratch by gemm::gemmPackedGatheredBlocked, turning the
  * indirect per-element read into one sequential pass plus a dense
@@ -24,7 +26,8 @@
  * Packing only moves bytes; every arithmetic chain still runs in the
  * microkernel in the same ascending-k order with separate multiply and
  * add (unless TIE_FAST — linalg/simd.hh), so packed results are
- * bit-identical to the unpacked kernels.
+ * bit-identical to the unpacked scalar reference
+ * (simd::gemmRefF32/F64).
  */
 
 #ifndef TIE_LINALG_PACK_HH
@@ -122,19 +125,25 @@ template <typename T>
 void
 packA(size_t m, size_t k, const T *a, T *pa)
 {
-    const size_t panels = (m + kRowPanel - 1) / kRowPanel;
-    for (size_t p = 0; p < panels; ++p) {
+    // Full panels write dst in order (kRowPanel source rows read in
+    // step), so every destination line is filled in one pass.
+    const size_t full = m / kRowPanel;
+    for (size_t p = 0; p < full; ++p) {
+        const T *src = a + p * kRowPanel * k;
         T *dst = pa + p * kRowPanel * k;
-        const size_t rows =
-            m - p * kRowPanel < kRowPanel ? m - p * kRowPanel
-                                          : kRowPanel;
-        if (rows < kRowPanel)
-            std::memset(dst, 0, kRowPanel * k * sizeof(T));
-        for (size_t r = 0; r < rows; ++r) {
-            const T *src = a + (p * kRowPanel + r) * k;
-            for (size_t kk = 0; kk < k; ++kk)
-                dst[kk * kRowPanel + r] = src[kk];
-        }
+        for (size_t kk = 0; kk < k; ++kk)
+            for (size_t r = 0; r < kRowPanel; ++r)
+                dst[kk * kRowPanel + r] = src[r * k + kk];
+    }
+    const size_t rows = m - full * kRowPanel;
+    if (rows == 0)
+        return;
+    T *dst = pa + full * kRowPanel * k;
+    std::memset(dst, 0, kRowPanel * k * sizeof(T));
+    for (size_t r = 0; r < rows; ++r) {
+        const T *src = a + (full * kRowPanel + r) * k;
+        for (size_t kk = 0; kk < k; ++kk)
+            dst[kk * kRowPanel + r] = src[kk];
     }
 }
 

@@ -112,17 +112,16 @@ FastMode resolveFastMode(FastMode requested);
 
 /**
  * C[i0:i1, j0:j1) += A[i0:i1, :] * B[:, j0:j1) with A (m x k), B
- * (k x n), C (m x n) row-major — the inner tile of gemm::gemmBlocked.
- * Remainder columns (j1 - j0 not a lane multiple) run the scalar tail
- * of the same chain; results are bit-identical to Isa::Scalar for
- * every isa.
+ * (k x n), C (m x n) row-major, by plain scalar loops over the
+ * unpacked operands: the one reference every packed kernel is tested
+ * against. Each output element runs its ascending-k chain with
+ * separate multiply and add. Production GEMM never calls it (matmul
+ * packs A and runs gemmPackedF32/F64).
  */
-void gemmTileF32(Isa isa, size_t n, size_t k, const float *a,
-                 const float *b, float *c, size_t i0, size_t i1,
-                 size_t j0, size_t j1);
-void gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
-                 const double *b, double *c, size_t i0, size_t i1,
-                 size_t j0, size_t j1);
+void gemmRefF32(size_t n, size_t k, const float *a, const float *b,
+                float *c, size_t i0, size_t i1, size_t j0, size_t j1);
+void gemmRefF64(size_t n, size_t k, const double *a, const double *b,
+                double *c, size_t i0, size_t i1, size_t j0, size_t j1);
 
 /**
  * Register-blocked microkernel over a packed A operand (linalg/pack.hh
@@ -138,11 +137,11 @@ void gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
  * is never written).
  *
  * The kernel holds a pack::kRowPanel x (2 vectors) accumulator block
- * in registers, so B is streamed kRowPanel times less often than by
- * gemmTileF32 — the packing win. Each output element still runs its
+ * in registers, so B is streamed kRowPanel times less often than by a
+ * one-row kernel — the packing win. Each output element still runs its
  * full ascending-k chain with separate multiply and add, so with
- * @p fast false results are bit-identical to gemmTileF32/F64 and the
- * scalar reference for every ISA and every panel split.
+ * @p fast false results are bit-identical to gemmRefF32/F64 for every
+ * ISA and every panel split.
  *
  * @p fast true permits FMA in the f32 kernels on ISAs that have it
  * (AVX2+FMA, NEON); the f64 kernels ignore it. See FastMode for the

@@ -124,6 +124,24 @@ requantizeAcc(int64_t acc, const MacFormat &fmt)
     return static_cast<int16_t>(saturate(v, fmt.act_out.total_bits));
 }
 
+namespace {
+
+/** Publish the ISA and which chain the @p macs of one fxp GEMM ran on. */
+void
+countFxpCall(simd::Isa isa, const MacFormat &fmt, size_t macs)
+{
+    if (!obs::enabled())
+        return;
+    gemm::KernelStats &ks = gemm::KernelStats::get();
+    ks.simd_isa.set(static_cast<int64_t>(isa));
+    if (fxpRunsSimd(isa, fmt))
+        ks.fxp_simd_macs.add(macs);
+    else
+        ks.fxp_scalar_macs.add(macs);
+}
+
+} // namespace
+
 void
 fxpMatmulRaw(size_t m, size_t k, size_t n, const int16_t *w,
              const int16_t *x, const MacFormat &fmt, int16_t *out)
@@ -136,9 +154,7 @@ fxpMatmulRaw(size_t m, size_t k, size_t n, const int16_t *w,
     // Within a block the chain runs in SIMD lanes across columns
     // (quant/fxp_simd.hh), bit-identical to the scalar chain.
     const simd::Isa isa = simd::activeIsa();
-    if (obs::enabled())
-        gemm::KernelStats::get().simd_isa.set(
-            static_cast<int64_t>(isa));
+    countFxpCall(isa, fmt, m * k * n);
     auto block = [&](size_t i0, size_t i1, size_t j0, size_t j1) {
         fxpBlock(isa, k, n, w, x, fmt, out, i0, i1, j0, j1);
     };
@@ -177,9 +193,7 @@ fxpMatmulGathered(size_t m, size_t k, const int16_t *w, const int16_t *v,
     // Same partitioning and per-element MAC order as fxpMatmulRaw; the
     // gathered operand read changes no result bit.
     const simd::Isa isa = simd::activeIsa();
-    if (obs::enabled())
-        gemm::KernelStats::get().simd_isa.set(
-            static_cast<int64_t>(isa));
+    countFxpCall(isa, fmt, m * k * n);
     auto block = [&](size_t i0, size_t i1, size_t j0, size_t j1) {
         fxpBlockGathered(isa, k, w, v, g, fmt, out, i0, i1, j0, j1);
     };

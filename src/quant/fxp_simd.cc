@@ -32,6 +32,12 @@ fxpSimdEligible(const MacFormat &fmt)
            fmt.act_out.total_bits >= 2 && fmt.act_out.total_bits <= 16;
 }
 
+bool
+fxpRunsSimd(simd::Isa isa, const MacFormat &fmt)
+{
+    return isa != simd::Isa::Scalar && fxpSimdEligible(fmt);
+}
+
 namespace {
 
 /**
@@ -415,7 +421,7 @@ fxpBlock(simd::Isa isa, size_t k, size_t n, const int16_t *w,
          const int16_t *x, const MacFormat &fmt, int16_t *out,
          size_t i0, size_t i1, size_t j0, size_t j1)
 {
-    if (isa == simd::Isa::Scalar || !fxpSimdEligible(fmt)) {
+    if (!fxpRunsSimd(isa, fmt)) {
         scalarBlock(k, n, w, x, fmt, out, i0, i1, j0, j1);
         return;
     }
@@ -447,7 +453,7 @@ fxpBlockGathered(simd::Isa isa, size_t k, const int16_t *w,
                  const MacFormat &fmt, int16_t *out, size_t i0,
                  size_t i1, size_t j0, size_t j1)
 {
-    if (isa == simd::Isa::Scalar || !fxpSimdEligible(fmt)) {
+    if (!fxpRunsSimd(isa, fmt)) {
         scalarBlockGathered(k, w, v, g, fmt, out, i0, i1, j0, j1);
         return;
     }

@@ -43,6 +43,13 @@ struct GatherB;
 bool fxpSimdEligible(const MacFormat &fmt);
 
 /**
+ * True when fxpBlock / fxpBlockGathered run @p fmt's chain in SIMD
+ * lanes on @p isa; false when they take the scalar chain (Isa::Scalar,
+ * or a format fxpSimdEligible rejects).
+ */
+bool fxpRunsSimd(simd::Isa isa, const MacFormat &fmt);
+
+/**
  * out[i0:i1, j0:j1) of the m x n fixed-point GEMM out = w (m x k) *
  * x (k x n), all row-major int16 raw values — the block kernel behind
  * fxpMatmulRaw. Isa::Scalar (or an ineligible @p fmt) runs the

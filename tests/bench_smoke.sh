@@ -7,8 +7,8 @@
 #
 # With --micro BIN, instead smoke-tests the google-benchmark micro
 # binary: runs the session-vs-per-call inference family, the per-ISA
-# kernels and the wire codec briefly and validates the BENCH_micro.json
-# report it writes by default.
+# kernels, matmul on one thread and the wire codec briefly and
+# validates the BENCH_micro.json report it writes by default.
 #
 # With --serve BIN, runs the serving sweep (serve_sweep --quick) and
 # validates the BENCH_serve.json schema: the structured per-point
@@ -26,7 +26,7 @@ trap 'rm -rf "$DIR"' EXIT
 if [ "$1" = "--micro" ]; then
     BIN="$2"
     (cd "$DIR" && "$BIN" \
-        --benchmark_filter='BM_TtInfer|_Isa|_Packed|BM_Crc32|BM_Wire' \
+        --benchmark_filter='BM_TtInfer|_Isa|_Packed|BM_Crc32|BM_Wire|BM_Matmul_Threads/1' \
                          --benchmark_min_time=0.01 >/dev/null 2>&1)
     python3 -m json.tool "$DIR/BENCH_micro.json" >/dev/null
     python3 - "$DIR/BENCH_micro.json" <<'EOF'
@@ -36,8 +36,9 @@ names = {b["name"] for b in r["benchmarks"]}
 for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
              "BM_TtInfer_Session_Materialized/1",
              "BM_TtInferFxp_PerCall/1", "BM_TtInferFxp_Session/1",
+             # the public matmul path (per-call pack + packed kernel)
+             "BM_Matmul_Threads/1/real_time",
              # the per-ISA SIMD sweeps always include the scalar path
-             "BM_GemmF32_Isa/scalar",
              "BM_GemmF32_Packed/scalar", "BM_GemmF32_PackedFast/scalar",
              "BM_GemmGatheredF32_Packed/scalar",
              "BM_FxpMatmul_Isa/scalar",

@@ -16,6 +16,7 @@
 
 #include "common/random.hh"
 #include "linalg/gemm.hh"
+#include "linalg/matrix.hh"
 #include "linalg/pack.hh"
 #include "linalg/simd.hh"
 #include "quant/fxp.hh"
@@ -137,7 +138,7 @@ TEST(SimdResolve, MaskAndLanesAreConsistent)
 }
 
 // ---------------------------------------------------------------------
-// Float / double GEMM bit-identity vs the scalar reference.
+// Shared operands and shapes.
 // ---------------------------------------------------------------------
 
 template <typename T>
@@ -161,80 +162,11 @@ const Shape kShapes[] = {
     {8, 4, 16}, {2, 130, 33}, {16, 9, 64}, {1, 5, 257},
 };
 
-template <typename T>
-void
-checkGemmBitIdentity()
-{
-    Rng rng(0x51a11);
-    for (const Shape &s : kShapes) {
-        const auto a = randomBuf<T>(s.m * s.k, rng);
-        const auto b = randomBuf<T>(s.k * s.n, rng);
-        std::vector<T> ref(s.m * s.n, T(0));
-        simd::Isa scalar = Isa::Scalar;
-        if constexpr (std::is_same_v<T, float>)
-            simd::gemmTileF32(scalar, s.n, s.k, a.data(), b.data(),
-                              ref.data(), 0, s.m, 0, s.n);
-        else
-            simd::gemmTileF64(scalar, s.n, s.k, a.data(), b.data(),
-                              ref.data(), 0, s.m, 0, s.n);
-        for (Isa isa : supportedIsas()) {
-            std::vector<T> c(s.m * s.n, T(0));
-            if constexpr (std::is_same_v<T, float>)
-                simd::gemmTileF32(isa, s.n, s.k, a.data(), b.data(),
-                                  c.data(), 0, s.m, 0, s.n);
-            else
-                simd::gemmTileF64(isa, s.n, s.k, a.data(), b.data(),
-                                  c.data(), 0, s.m, 0, s.n);
-            EXPECT_EQ(std::memcmp(c.data(), ref.data(),
-                                  c.size() * sizeof(T)),
-                      0)
-                << simd::isaName(isa) << " " << s.m << "x" << s.k << "x"
-                << s.n;
-        }
-    }
-}
-
-TEST(SimdGemm, F32BitIdenticalToScalarOnEveryIsa)
-{
-    checkGemmBitIdentity<float>();
-}
-
-TEST(SimdGemm, F64BitIdenticalToScalarOnEveryIsa)
-{
-    checkGemmBitIdentity<double>();
-}
-
-TEST(SimdGemm, UnalignedColumnWindowMatchesScalar)
-{
-    // j0 not a lane multiple and j1 short of one: both the leading
-    // partial block and the tail must match the scalar chain, and
-    // nothing outside [j0, j1) may be written.
-    Rng rng(0xbeef);
-    const size_t m = 3, k = 11, n = 37;
-    const auto a = randomBuf<float>(m * k, rng);
-    const auto b = randomBuf<float>(k * n, rng);
-    for (size_t j0 : {size_t(1), size_t(5), size_t(13)}) {
-        const size_t j1 = n - 2;
-        std::vector<float> ref(m * n, -7.0f), c(m * n, -7.0f);
-        simd::gemmTileF32(Isa::Scalar, n, k, a.data(), b.data(),
-                          ref.data(), 0, m, j0, j1);
-        for (Isa isa : supportedIsas()) {
-            std::fill(c.begin(), c.end(), -7.0f);
-            simd::gemmTileF32(isa, n, k, a.data(), b.data(), c.data(),
-                              0, m, j0, j1);
-            EXPECT_EQ(std::memcmp(c.data(), ref.data(),
-                                  c.size() * sizeof(float)),
-                      0)
-                << simd::isaName(isa) << " j0=" << j0;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Packed-panel microkernel: the default path must be bit-identical to
-// the unpacked kernels and the scalar reference (packed == unpacked ==
-// scalar) for every ISA, shape, panel split and batch; TIE_FAST only
-// bends f32 within the documented bound.
+// the unpacked scalar reference (simd::gemmRefF32/F64) for every ISA,
+// shape, panel split and batch; TIE_FAST only bends f32 within the
+// documented bound.
 // ---------------------------------------------------------------------
 
 template <typename T>
@@ -261,11 +193,11 @@ checkPackedBitIdentity()
         const auto b = randomBuf<T>(s.k * s.n, rng);
         std::vector<T> ref(s.m * s.n, T(0));
         if constexpr (std::is_same_v<T, float>)
-            simd::gemmTileF32(Isa::Scalar, s.n, s.k, a.data(), b.data(),
-                              ref.data(), 0, s.m, 0, s.n);
+            simd::gemmRefF32(s.n, s.k, a.data(), b.data(), ref.data(),
+                             0, s.m, 0, s.n);
         else
-            simd::gemmTileF64(Isa::Scalar, s.n, s.k, a.data(), b.data(),
-                              ref.data(), 0, s.m, 0, s.n);
+            simd::gemmRefF64(s.n, s.k, a.data(), b.data(), ref.data(),
+                             0, s.m, 0, s.n);
         std::vector<T> pa(pack::packedAElems(s.m, s.k));
         pack::packA(s.m, s.k, a.data(), pa.data());
         for (Isa isa : supportedIsas()) {
@@ -306,8 +238,8 @@ TEST(SimdPacked, UnalignedWindowsAndPanelSplitsMatchScalar)
             for (size_t j0 : {size_t(0), size_t(1), size_t(13)}) {
                 const size_t j1 = n - 2;
                 std::vector<float> ref(m * n, -7.0f), c(m * n, -7.0f);
-                simd::gemmTileF32(Isa::Scalar, n, k, a.data(), b.data(),
-                                  ref.data(), i0, i1, j0, j1);
+                simd::gemmRefF32(n, k, a.data(), b.data(), ref.data(),
+                                 i0, i1, j0, j1);
                 for (Isa isa : supportedIsas()) {
                     std::fill(c.begin(), c.end(), -7.0f);
                     packedGemm<float>(isa, false, k, pa.data(), b.data(),
@@ -325,31 +257,46 @@ TEST(SimdPacked, UnalignedWindowsAndPanelSplitsMatchScalar)
 
 template <typename T>
 void
-checkPackedBlockedMatchesUnpacked(size_t m, size_t n, size_t k)
+checkMatmulMatchesRef(size_t m, size_t n, size_t k)
 {
     Rng rng(0x9ace + m + n + k);
-    const auto a = randomBuf<T>(m * k, rng);
-    const auto b = randomBuf<T>(k * n, rng);
-    std::vector<T> ref(m * n, T(0)), c(m * n, T(0));
-    gemm::gemmBlocked(m, n, k, a.data(), b.data(), ref.data());
-    std::vector<T> pa(pack::packedAElems(m, k));
-    pack::packA(m, k, a.data(), pa.data());
-    gemm::gemmPackedBlocked(m, n, k, pa.data(), b.data(), c.data(),
-                            false);
-    EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)),
+    const Matrix<T> a(m, k, randomBuf<T>(m * k, rng));
+    const Matrix<T> b(k, n, randomBuf<T>(k * n, rng));
+    std::vector<T> ref(m * n, T(0));
+    if constexpr (std::is_same_v<T, float>)
+        simd::gemmRefF32(n, k, a.data(), b.data(), ref.data(), 0, m, 0, n);
+    else
+        simd::gemmRefF64(n, k, a.data(), b.data(), ref.data(), 0, m, 0, n);
+    const Matrix<T> c = matmul(a, b);
+    ASSERT_EQ(c.size(), ref.size());
+    EXPECT_EQ(std::memcmp(c.data(), ref.data(), ref.size() * sizeof(T)),
               0)
         << m << "x" << k << "x" << n;
 }
 
 TEST(SimdPacked, BlockedWrapperMatchesUnpacked)
 {
-    // Below and above the kParallelMinWork threshold, row- and
-    // column-dominant splits.
-    checkPackedBlockedMatchesUnpacked<float>(5, 9, 7);
-    checkPackedBlockedMatchesUnpacked<float>(64, 96, 64);
-    checkPackedBlockedMatchesUnpacked<float>(17, 1031, 33);
-    checkPackedBlockedMatchesUnpacked<double>(5, 9, 7);
-    checkPackedBlockedMatchesUnpacked<double>(64, 96, 64);
+    // The public matmul (per-call packA + gemmPackedBlocked, never the
+    // fast path) against the unpacked scalar reference. The shapes
+    // cover a partial last row panel, n = 1, k past one kDepthBlock,
+    // and both sides of kParallelMinWork with row- and column-dominant
+    // splits; the flags below keep that coverage from eroding.
+    const Shape shapes[] = {
+        {5, 7, 9},      {37, 300, 1},  {64, 64, 96},
+        {17, 33, 1031}, {1031, 200, 1}, {6, 129, 64},
+    };
+    bool partial_panel = false, n1 = false, deep_k = false;
+    bool serial = false, parallel = false;
+    for (const Shape &s : shapes) {
+        partial_panel |= s.m % pack::kRowPanel != 0;
+        n1 |= s.n == 1;
+        deep_k |= s.k > gemm::kDepthBlock;
+        (s.m * s.n * s.k < gemm::kParallelMinWork ? serial : parallel) =
+            true;
+        checkMatmulMatchesRef<float>(s.m, s.n, s.k);
+        checkMatmulMatchesRef<double>(s.m, s.n, s.k);
+    }
+    EXPECT_TRUE(partial_panel && n1 && deep_k && serial && parallel);
 }
 
 template <typename T>
@@ -379,11 +326,11 @@ checkPackedGatheredMatchesMaterialized(size_t batch)
                     v[offset[kk * cols_out + q] + bb * g.block_stride];
     std::vector<T> ref(m * n, T(0)), c(m * n, T(0));
     if constexpr (std::is_same_v<T, float>)
-        simd::gemmTileF32(Isa::Scalar, n, k, a.data(), bmat.data(),
-                          ref.data(), 0, m, 0, n);
+        simd::gemmRefF32(n, k, a.data(), bmat.data(), ref.data(), 0, m,
+                         0, n);
     else
-        simd::gemmTileF64(Isa::Scalar, n, k, a.data(), bmat.data(),
-                          ref.data(), 0, m, 0, n);
+        simd::gemmRefF64(n, k, a.data(), bmat.data(), ref.data(), 0, m,
+                         0, n);
     std::vector<T> pa(pack::packedAElems(m, k));
     pack::packA(m, k, a.data(), pa.data());
     std::vector<T> bscratch(k * std::min(n, gemm::kColBlock));
@@ -621,6 +568,53 @@ TEST(SimdFxp, PublicMatmulMatchesPerElementChain)
                 << i << "," << j;
         }
     }
+}
+
+TEST(SimdFxp, MacCountersNameTheChainThatRan)
+{
+    // fxpBlock drops to the scalar chain for an ineligible format even
+    // on a SIMD ISA; fxp.simd_macs / fxp.scalar_macs make that visible.
+    // Under TIE_SIMD=scalar every MAC is a scalar MAC.
+    const size_t m = 5, k = 17, n = 23;
+    Rng rng(0x78);
+    Matrix<int16_t> w(m, k), x(k, n);
+    for (auto &v : w.flat())
+        v = static_cast<int16_t>(rng.intIn(-32768, 32767));
+    for (auto &v : x.flat())
+        v = static_cast<int16_t>(rng.intIn(-32768, 32767));
+    std::vector<size_t> offset(k * n);
+    for (size_t e = 0; e < offset.size(); ++e)
+        offset[e] = e;
+    gemm::GatherB g;
+    g.offset = offset.data();
+    g.cols_out = n;
+    g.block_stride = k * n;
+    g.batch = 1;
+    std::vector<int16_t> out(m * n);
+
+    MacFormat eligible;
+    MacFormat widen;
+    widen.act_out = FxpFormat{16, 14};
+    ASSERT_TRUE(fxpSimdEligible(eligible));
+    ASSERT_FALSE(fxpSimdEligible(widen));
+    const bool simd_isa = simd::activeIsa() != Isa::Scalar;
+
+    obs::StatRegistry &reg = obs::StatRegistry::instance();
+    obs::setEnabled(true);
+    for (const MacFormat *fmt : {&eligible, &widen}) {
+        const bool lanes = simd_isa && fmt == &eligible;
+        reg.resetAll();
+        fxpMatmul(w, x, *fmt);
+        fxpMatmulGathered(m, k, w.data(), x.data(), g, *fmt, out.data());
+        const uint64_t macs = 2 * m * k * n;
+        EXPECT_EQ(reg.counter("fxp.simd_macs").value(), lanes ? macs : 0)
+            << "eligible=" << (fmt == &eligible);
+        EXPECT_EQ(reg.counter("fxp.scalar_macs").value(),
+                  lanes ? 0 : macs)
+            << "eligible=" << (fmt == &eligible);
+    }
+    obs::setEnabled(false);
+    reg.resetAll();
 }
 
 } // namespace

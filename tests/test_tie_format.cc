@@ -558,6 +558,55 @@ TEST(TieFormat, LoadRejectsABrokenFxpStageChain)
     std::remove(path.c_str());
 }
 
+TEST(TieFormat, LoadRejectsAGraphThatRepeatsALayer)
+{
+    // Two square layers, so the graph [0, 0] still chains 64 -> 64 and
+    // passes the interface check: only the repeat rule can refuse it
+    // (layer 0 would run twice and layer 1 never).
+    Rng rng(18);
+    std::vector<TtMatrix> chain;
+    for (int i = 0; i < 2; ++i)
+        chain.push_back(TtMatrix::random(
+            TtLayerConfig::uniform(3, 4, 4, 3), rng));
+    std::vector<uint8_t> img = image(chain);
+
+    bool patched = false;
+    uint64_t n_sections = 0;
+    std::memcpy(&n_sections, img.data() + 24, 8);
+    for (uint64_t s = 0; s < n_sections; ++s) {
+        uint8_t *e = img.data() + io::kTieHeaderSize +
+                     s * io::kTieSectionEntrySize;
+        uint32_t kind = 0;
+        uint64_t off = 0, size = 0;
+        std::memcpy(&kind, e, 4);
+        std::memcpy(&off, e + 8, 8);
+        std::memcpy(&size, e + 16, 8);
+        if (kind != uint32_t(io::TieSection::Graph))
+            continue;
+        ASSERT_EQ(size, 8u + 2 * 4u); // u64 n, then n u32 ids
+        const uint32_t repeat = 0;   // graph [0, 1] -> [0, 0]
+        std::memcpy(img.data() + off + 12, &repeat, 4);
+        const uint32_t crc = io::crc32(img.data() + off, size);
+        std::memcpy(e + 24, &crc, 4);
+        patched = true;
+    }
+    ASSERT_TRUE(patched);
+    const uint32_t header_crc = io::crc32(img.data(), 40);
+    std::memcpy(img.data() + 40, &header_crc, 4);
+
+    const std::string path = "/tmp/tie_fmt_repeated_layer.tie";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os.write(reinterpret_cast<const char *>(img.data()),
+                 static_cast<std::streamsize>(img.size()));
+    }
+    TieModel m;
+    std::string err;
+    EXPECT_FALSE(TieModel::tryLoad(path, &m, &err));
+    EXPECT_NE(err.find("repeats layer 0"), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Zero-copy serving off the mapping
 // ---------------------------------------------------------------------
