@@ -145,10 +145,10 @@ runZooSweep(const std::string &zoo_dir, bool quick)
     // serves (same bytes, separate mapping).
     LaneOutputs expected;
     for (size_t k = 0; k < n_models; ++k) {
-        const ServableModel m = loadServable(
-            zoo_dir + "/" + manifest.entries[k].file);
+        const io::TieModel m =
+            io::TieModel::load(zoo_dir + "/" + manifest.entries[k].file);
         expected.push_back(tenantReferenceOutputs(
-            m.views, k, n_models, seed, requests));
+            m.layers(), k, n_models, seed, requests));
     }
 
     size_t mismatched = 0;

@@ -18,32 +18,11 @@ constexpr int kTickMs = 100;
 
 } // namespace
 
-ClusterWorker::ClusterWorker(serve::ServableModel model,
+ClusterWorker::ClusterWorker(io::TieModel model,
                              ClusterWorkerOptions opts)
     : model_(std::move(model)), opts_(std::move(opts))
 {
-    TIE_CHECK_ARG(!model_.views.empty(),
-                  "ClusterWorker needs a loaded model");
-}
-
-namespace {
-
-serve::ServableModel
-toServable(io::TieModel model)
-{
-    serve::ServableModel m;
-    m.artifact = std::move(model);
-    if (m.artifact.valid())
-        m.views = m.artifact.layers();
-    return m;
-}
-
-} // namespace
-
-ClusterWorker::ClusterWorker(io::TieModel model,
-                             ClusterWorkerOptions opts)
-    : ClusterWorker(toServable(std::move(model)), std::move(opts))
-{
+    TIE_CHECK_ARG(model_.valid(), "ClusterWorker needs a loaded model");
 }
 
 ClusterWorker::~ClusterWorker()
@@ -60,7 +39,7 @@ ClusterWorker::start(std::string *error)
     // The server (and its warmed worker sessions) comes up before the
     // first connection is accepted, so a request can never observe a
     // half-built replica.
-    server_ = std::make_unique<serve::Server>(model_.views,
+    server_ = std::make_unique<serve::Server>(model_.layers(),
                                               opts_.server);
     started_ = true;
     accept_thread_ = std::thread([this] { acceptLoop(); });
@@ -163,7 +142,7 @@ ClusterWorker::readerLoop(Conn &c)
             HelloAckMsg ack;
             ack.in_size = server_->inSize();
             ack.out_size = server_->outSize();
-            ack.layers = model_.views.size();
+            ack.layers = model_.layerCount();
             ack.pid = static_cast<uint32_t>(::getpid());
             Item item;
             item.kind = Item::Kind::Ready;

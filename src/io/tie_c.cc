@@ -44,27 +44,14 @@ tie_last_error(void)
 }
 
 /**
- * A model handle: a validated artifact (possibly mmap-backed) or a
- * synthesized owned chain. Both representations are shared-ownership
- * under the hood, so sessions and registries stay valid after the
- * handle itself is freed.
+ * A model handle: a validated artifact, mmap-backed when loaded and an
+ * in-memory image when synthesized. TieModel shares ownership under
+ * the hood, so sessions and registries stay valid after the handle
+ * itself is freed.
  */
 struct tie_model
 {
-    io::TieModel artifact; ///< invalid when synthesized
-    std::shared_ptr<const std::vector<TtMatrix>> owned;
-
-    std::vector<TtLayerViewD>
-    layers() const
-    {
-        if (artifact.valid())
-            return artifact.layers();
-        std::vector<TtLayerViewD> v;
-        v.reserve(owned->size());
-        for (const TtMatrix &tt : *owned)
-            v.push_back(layerView(tt));
-        return v;
-    }
+    io::TieModel model;
 };
 
 tie_status
@@ -77,9 +64,7 @@ tie_model_load(const char *path, tie_model **out)
     std::string err;
     if (!io::TieModel::tryLoad(path, &m, &err))
         return fail(TIE_ERR_IO, err);
-    auto *h = new tie_model();
-    h->artifact = std::move(m);
-    *out = h;
+    *out = new tie_model{std::move(m)};
     return TIE_OK;
 }
 
@@ -105,11 +90,9 @@ tie_model_synth(const size_t *m, const size_t *n, size_t d, size_t rank,
         std::vector<size_t>(m, m + d), std::vector<size_t>(n, n + d),
         rank);
     Rng rng(seed);
-    auto chain = std::make_shared<std::vector<TtMatrix>>();
-    chain->push_back(TtMatrix::random(cfg, rng));
-    auto *h = new tie_model();
-    h->owned = std::move(chain);
-    *out = h;
+    const TtMatrix tt = TtMatrix::random(cfg, rng);
+    *out = new tie_model{io::TieModel::parse(
+        io::serializeTieModel({io::makeLayerSpec(tt)}))};
     return TIE_OK;
 }
 
@@ -118,24 +101,18 @@ tie_model_save(const tie_model *model, const char *path)
 {
     if (model == nullptr || path == nullptr)
         return fail(TIE_ERR_ARG, "tie_model_save: NULL argument");
+    const io::TieModel &a = model->model;
     std::vector<io::TieLayerSpec> specs;
-    if (model->artifact.valid()) {
-        const io::TieModel &a = model->artifact;
-        specs.reserve(a.layerCount());
-        for (size_t i = 0; i < a.layerCount(); ++i) {
-            io::TieLayerSpec s;
-            s.f64 = a.layer(i);
-            if (a.hasFxp()) {
-                TtFxpLayerView q = a.fxpLayer(i);
-                s.fxp_cores = std::move(q.cores);
-                s.fxp_fmt = std::move(q.fmt);
-            }
-            specs.push_back(std::move(s));
+    specs.reserve(a.layerCount());
+    for (size_t i = 0; i < a.layerCount(); ++i) {
+        io::TieLayerSpec s;
+        s.f64 = a.layer(i);
+        if (a.hasFxp()) {
+            TtFxpLayerView q = a.fxpLayer(i);
+            s.fxp_cores = std::move(q.cores);
+            s.fxp_fmt = std::move(q.fmt);
         }
-    } else {
-        specs.reserve(model->owned->size());
-        for (const TtMatrix &tt : *model->owned)
-            specs.push_back(io::makeLayerSpec(tt));
+        specs.push_back(std::move(s));
     }
     io::saveTieModel(specs, path);
     return TIE_OK;
@@ -152,8 +129,7 @@ tie_model_layer_count(const tie_model *model)
 {
     if (model == nullptr)
         return 0;
-    return model->artifact.valid() ? model->artifact.layerCount()
-                                   : model->owned->size();
+    return model->model.layerCount();
 }
 
 size_t
@@ -161,9 +137,7 @@ tie_model_in_size(const tie_model *model)
 {
     if (model == nullptr)
         return 0;
-    return model->artifact.valid()
-               ? model->artifact.inSize()
-               : model->owned->front().config().inSize();
+    return model->model.inSize();
 }
 
 size_t
@@ -171,9 +145,7 @@ tie_model_out_size(const tie_model *model)
 {
     if (model == nullptr)
         return 0;
-    return model->artifact.valid()
-               ? model->artifact.outSize()
-               : model->owned->back().config().outSize();
+    return model->model.outSize();
 }
 
 int
@@ -181,7 +153,7 @@ tie_model_has_fxp(const tie_model *model)
 {
     if (model == nullptr)
         return 0;
-    return model->artifact.valid() && model->artifact.hasFxp() ? 1 : 0;
+    return model->model.hasFxp() ? 1 : 0;
 }
 
 /**
@@ -191,8 +163,7 @@ tie_model_has_fxp(const tie_model *model)
  */
 struct tie_session
 {
-    io::TieModel artifact; ///< pins the mapping, if any
-    std::shared_ptr<const std::vector<TtMatrix>> owned;
+    io::TieModel model; ///< pins the weights the sessions alias
     std::vector<InferSessionD> chain;
     std::vector<double> buf_a; ///< max_width * max_batch each
     std::vector<double> buf_b;
@@ -227,9 +198,8 @@ tie_session_create(const tie_model *model, size_t max_batch,
                     "tie_session_create: max_batch must be >= 1");
 
     auto s = std::make_unique<tie_session>();
-    s->artifact = model->artifact;
-    s->owned = model->owned;
-    const std::vector<TtLayerViewD> layers = model->layers();
+    s->model = model->model;
+    const std::vector<TtLayerViewD> layers = s->model.layers();
     s->chain.reserve(layers.size());
     size_t max_width = layers.front().cfg.inSize();
     for (const TtLayerViewD &l : layers) {
@@ -294,13 +264,7 @@ tie_registry_publish(tie_registry *reg, const char *name,
         return fail(TIE_ERR_ARG, "tie_registry_publish: NULL argument");
     if (name[0] == '\0')
         return fail(TIE_ERR_ARG, "tie_registry_publish: empty name");
-    uint64_t version;
-    if (model->artifact.valid()) {
-        version = reg->reg.publish(name, model->artifact);
-    } else {
-        version = reg->reg.publish(
-            name, std::vector<TtMatrix>(*model->owned));
-    }
+    const uint64_t version = reg->reg.publish(name, model->model);
     if (version_out != nullptr)
         *version_out = version;
     return TIE_OK;

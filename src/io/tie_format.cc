@@ -989,17 +989,5 @@ TieModel::toTtMatrixFxp(size_t i) const
     return tt;
 }
 
-bool
-isTieArtifact(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is.is_open())
-        return false;
-    char magic[sizeof(kTieMagic)] = {};
-    is.read(magic, sizeof(magic));
-    return static_cast<bool>(is) &&
-           std::memcmp(magic, kTieMagic, sizeof(magic)) == 0;
-}
-
 } // namespace io
 } // namespace tie

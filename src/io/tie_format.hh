@@ -205,9 +205,6 @@ class TieModel
     std::shared_ptr<const Rep> rep_;
 };
 
-/** True when @p path starts with the .tie magic (format sniffing). */
-bool isTieArtifact(const std::string &path);
-
 } // namespace io
 } // namespace tie
 

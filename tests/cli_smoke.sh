@@ -8,29 +8,39 @@ BENCH_DIFF="$2"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
-"$CLI" synth "$DIR/a.ttm" --m 4,4 --n 4,6 --rank 3 --seed 5
-"$CLI" info "$DIR/a.ttm" | grep -q "compression"
-"$CLI" round "$DIR/a.ttm" "$DIR/b.ttm" --rank 2
-"$CLI" info "$DIR/b.ttm" | grep -q "r=\[1,2,1\]"
-"$CLI" simulate "$DIR/a.ttm" --batch 2 | grep -q "bit-exact vs reference | yes"
-"$CLI" simulate "$DIR/b.ttm" --npe 8 --nmac 8 | grep -q "8 PE x 8 MAC"
+"$CLI" synth "$DIR/a.tie" --m 4,4 --n 4,6 --rank 3 --seed 5
+"$CLI" info "$DIR/a.tie" | grep -q "compression"
+"$CLI" round "$DIR/a.tie" "$DIR/b.tie" --rank 2
+"$CLI" info "$DIR/b.tie" | grep -q "r=\[1,2,1\]"
+"$CLI" simulate "$DIR/a.tie" --batch 2 | grep -q "bit-exact vs reference | yes"
+"$CLI" simulate "$DIR/b.tie" --npe 8 --nmac 8 | grep -q "8 PE x 8 MAC"
 
 # decompose round trip through a raw dense file produced from a model.
-"$CLI" simulate "$DIR/a.ttm" >/dev/null
+"$CLI" simulate "$DIR/a.tie" >/dev/null
+
+# save-model --from concatenates the layers of its inputs; the
+# one-layer commands reject the resulting two-layer chain.
+"$CLI" synth "$DIR/c.tie" --m 4,6 --n 4,4 --rank 2 --seed 6
+"$CLI" save-model "$DIR/ac.tie" --from "$DIR/a.tie,$DIR/c.tie"
+"$CLI" info "$DIR/ac.tie" | grep -q "layers    | 2"
+if "$CLI" simulate "$DIR/ac.tie" >/dev/null 2>&1; then
+    echo "simulate accepted a two-layer model" >&2
+    exit 1
+fi
 
 # .tie artifact round trip: package, inspect, serve off the mapping.
 # serve-bench verifies every completed output bit-exactly against the
 # in-process reference, so a zero-mismatch run proves the reloaded
 # artifact computes identically.
-"$CLI" save-model "$DIR/a.tie" --from "$DIR/a.ttm" --fxp
-"$CLI" info "$DIR/a.tie" | grep -q "fxp twin  | yes"
-"$CLI" info "$DIR/a.tie" | grep -q ".tie v1"
-"$CLI" serve-bench "$DIR/a.tie" --requests 64 --clients 2 \
+"$CLI" save-model "$DIR/q.tie" --from "$DIR/a.tie" --fxp
+"$CLI" info "$DIR/q.tie" | grep -q "fxp twin  | yes"
+"$CLI" info "$DIR/q.tie" | grep -q ".tie v1"
+"$CLI" serve-bench "$DIR/q.tie" --requests 64 --clients 2 \
     | grep -q "bit-exact vs reference.*| yes"
 "$CLI" save-model "$DIR/s.tie" --m 4,4 --n 4,6 --rank 3 --seed 5
 "$CLI" info "$DIR/s.tie" | grep -q "layers    | 1"
 # Corrupting one payload byte must be rejected with a diagnostic.
-cp "$DIR/a.tie" "$DIR/bad.tie"
+cp "$DIR/q.tie" "$DIR/bad.tie"
 printf '\xff' | dd of="$DIR/bad.tie" bs=1 seek=200 conv=notrunc 2>/dev/null
 if "$CLI" info "$DIR/bad.tie" 2>"$DIR/err.txt"; then
     echo "corrupt artifact was accepted" >&2
@@ -40,14 +50,14 @@ grep -q "tie" "$DIR/err.txt"
 
 # Observability: --stats-json / --trace-out must write valid JSON, and
 # the TIE_STATS_JSON / TIE_TRACE env fallbacks must do the same.
-"$CLI" simulate "$DIR/a.ttm" \
+"$CLI" simulate "$DIR/a.tie" \
     --stats-json="$DIR/s.json" --trace-out="$DIR/t.json" >/dev/null
 python3 -m json.tool "$DIR/s.json" >/dev/null
 python3 -m json.tool "$DIR/t.json" >/dev/null
 grep -q '"simulate"' "$DIR/s.json"
 grep -q '"traceEvents"' "$DIR/t.json"
 TIE_STATS_JSON="$DIR/s2.json" TIE_TRACE="$DIR/t2.json" \
-    "$CLI" simulate "$DIR/a.ttm" >/dev/null
+    "$CLI" simulate "$DIR/a.tie" >/dev/null
 python3 -m json.tool "$DIR/s2.json" >/dev/null
 python3 -m json.tool "$DIR/t2.json" >/dev/null
 
@@ -138,6 +148,21 @@ EOF
     if "$BENCH_DIFF" "$DIR/serve_stats.json" "$DIR/serve_bad.json" \
         > /dev/null 2>&1; then
         echo "bench_diff accepted a 10x latency regression" >&2
+        exit 1
+    fi
+    # Reports from hosts with different CPU counts are named as such.
+    python3 - "$DIR/gb_a.json" "$DIR/gb_b.json" <<'EOF'
+import json, sys
+for path, cpus in zip(sys.argv[1:], (1, 4)):
+    json.dump({"context": {"num_cpus": cpus, "mhz_per_cpu": 2100},
+               "benchmarks": [{"name": "BM_X", "real_time": 1.0}]},
+              open(path, "w"))
+EOF
+    "$BENCH_DIFF" "$DIR/gb_a.json" "$DIR/gb_b.json" | grep -q \
+        "host mismatch: baseline num_cpus 1 mhz_per_cpu 2100, current num_cpus 4"
+    if "$BENCH_DIFF" "$DIR/gb_a.json" "$DIR/gb_a.json" \
+        | grep -q "host mismatch"; then
+        echo "bench_diff named a mismatch between identical hosts" >&2
         exit 1
     fi
 fi

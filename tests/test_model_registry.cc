@@ -112,6 +112,44 @@ TEST(ModelRegistry, ArtifactBackedEntryServesIdentically)
     }
 }
 
+TEST(ModelRegistry, TryPublishFileRejectsANonTieFileWithoutExiting)
+{
+    const std::string good = "/tmp/tie_registry_nontie_good.tie";
+    const std::string bad = "/tmp/tie_registry_nontie_bad.bin";
+    TtMatrix tt = sampleModel(4);
+    io::saveTieModel(tt, good);
+    std::FILE *f = std::fopen(bad.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const char junk[] = "not a model file";
+    std::fwrite(junk, 1, sizeof(junk), f);
+    std::fclose(f);
+
+    ModelRegistry reg;
+    ASSERT_TRUE(reg.tryPublishFile("good", good));
+    for (const std::string &path :
+         {bad, std::string("/nonexistent/dir/x.tie")}) {
+        uint64_t version = 0;
+        std::string err;
+        EXPECT_FALSE(reg.tryPublishFile("bad", path, &version, &err))
+            << path;
+        EXPECT_FALSE(err.empty()) << path;
+        EXPECT_FALSE(reg.has("bad")) << path;
+    }
+    std::remove(good.c_str());
+    std::remove(bad.c_str());
+
+    // The rejected file left the model published before it serving.
+    const auto expected = refs(tt, 41, 4);
+    for (size_t i = 0; i < expected.size(); ++i) {
+        const std::vector<double> x =
+            serve::makeRequestInput(41, i, tt.config().inSize());
+        std::vector<double> y;
+        RegistryTicket t = reg.submit("good", x);
+        ASSERT_EQ(reg.wait(t, &y), RequestStatus::Done);
+        EXPECT_EQ(y, expected[i]) << "request " << i;
+    }
+}
+
 TEST(ModelRegistry, UnknownNameIsFatalTrySubmitIsNot)
 {
     ModelRegistry reg;

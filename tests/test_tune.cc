@@ -3,8 +3,8 @@
  * Tests for the rank/shape autotuner and the model zoo: search-space
  * enumeration, the cost-model-vs-measured property, thread-count
  * determinism of the Pareto report, winner selection, zoo round-trip
- * through the registry, the shared servable-load path, the .tie
- * section table, and the hardened dataset bounds checks.
+ * through the registry, the .tie section table, and the hardened
+ * dataset bounds checks.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "serve/load_gen.hh"
 #include "tt/cost_model.hh"
 #include "tt/infer_session.hh"
-#include "tt/tt_io.hh"
 #include "tune/autotune.hh"
 #include "tune/search_space.hh"
 #include "tune/zoo.hh"
@@ -315,10 +314,11 @@ TEST(Zoo, MultiTenantMixIsBitExact)
     mo.seed = 5;
     serve::LaneOutputs expected;
     for (size_t k = 0; k < names.size(); ++k) {
-        const serve::ServableModel m = serve::loadServable(
-            dir.path + "/" + manifest.entries[k].file);
+        // The temporary model outlives the call that reads its views.
         expected.push_back(serve::tenantReferenceOutputs(
-            m.views, k, names.size(), mo.seed, mo.requests));
+            io::TieModel::load(dir.path + "/" + manifest.entries[k].file)
+                .layers(),
+            k, names.size(), mo.seed, mo.requests));
     }
     serve::RegistryTarget target(registry, names);
     const serve::LoadReport rep =
@@ -331,82 +331,6 @@ TEST(Zoo, MultiTenantMixIsBitExact)
     EXPECT_EQ(rep.per_model[1].submitted, 20u);
     for (const serve::LoadGenReport &r : rep.per_model)
         EXPECT_EQ(r.mismatched, 0u);
-}
-
-TEST(Servable, LoadsBothFormatsAndRejectsMissing)
-{
-    TempDir dir;
-    TtLayerConfig cfg;
-    cfg.m = {2, 4};
-    cfg.n = {4, 2};
-    cfg.r = {1, 2, 1};
-    Rng rng(77);
-    const TtMatrix tt = TtMatrix::random(cfg, rng);
-
-    const std::string tie_path = dir.path + "/m.tie";
-    const std::string ttm_path = dir.path + "/m.ttm";
-    io::saveTieModel(tt, tie_path);
-    saveTtMatrixFile(tt, ttm_path);
-
-    serve::ServableModel a, b;
-    std::string err;
-    ASSERT_TRUE(serve::tryLoadServable(tie_path, &a, &err)) << err;
-    EXPECT_TRUE(a.fromArtifact());
-    ASSERT_TRUE(serve::tryLoadServable(ttm_path, &b, &err)) << err;
-    EXPECT_FALSE(b.fromArtifact());
-    ASSERT_EQ(a.views.size(), 1u);
-    ASSERT_EQ(b.views.size(), 1u);
-
-    // Both backings serve the same bits.
-    InferSessionD sa(a.views[0]), sb(b.views[0]);
-    std::vector<double> x(cfg.inSize());
-    for (double &v : x)
-        v = rng.uniform(-1, 1);
-    std::vector<double> ya, yb;
-    sa.runVec(x, ya);
-    sb.runVec(x, yb);
-    EXPECT_EQ(ya, yb);
-
-    serve::ServableModel c;
-    EXPECT_FALSE(serve::tryLoadServable(dir.path + "/nope.tie", &c,
-                                        &err));
-    EXPECT_FALSE(err.empty());
-}
-
-TEST(Servable, PublishFileServesEitherFormat)
-{
-    TempDir dir;
-    TtLayerConfig cfg;
-    cfg.m = {2, 4};
-    cfg.n = {4, 2};
-    cfg.r = {1, 2, 1};
-    Rng rng(78);
-    const TtMatrix tt = TtMatrix::random(cfg, rng);
-    io::saveTieModel(tt, dir.path + "/m.tie");
-    saveTtMatrixFile(tt, dir.path + "/m.ttm");
-
-    serve::ModelRegistry registry;
-    EXPECT_EQ(registry.publishFile("a", dir.path + "/m.tie"), 1u);
-    EXPECT_EQ(registry.publishFile("b", dir.path + "/m.ttm"), 1u);
-    EXPECT_TRUE(registry.info("a").from_artifact);
-    EXPECT_FALSE(registry.info("b").from_artifact);
-
-    std::vector<double> x(cfg.inSize());
-    for (double &v : x)
-        v = rng.uniform(-1, 1);
-    std::vector<double> ya, yb;
-    serve::RegistryTicket ta = registry.submit("a", x);
-    ASSERT_EQ(registry.wait(ta, &ya), serve::RequestStatus::Done);
-    serve::RegistryTicket tb = registry.submit("b", x);
-    ASSERT_EQ(registry.wait(tb, &yb), serve::RequestStatus::Done);
-    EXPECT_EQ(ya, yb);
-
-    uint64_t version = 0;
-    std::string err;
-    EXPECT_FALSE(registry.tryPublishFile("c", dir.path + "/nope",
-                                         &version, &err));
-    EXPECT_FALSE(registry.has("c"));
-    EXPECT_FALSE(err.empty());
 }
 
 TEST(TieFormat, SectionTableIsExposedAndNamed)

@@ -25,6 +25,10 @@
  * Metrics present in only one file are listed but never fail the gate
  * (benchmarks come and go); use the table to spot them.
  *
+ * When both google-benchmark files carry a "context" whose num_cpus or
+ * mhz_per_cpu differ, one "host mismatch" line names both values: the
+ * timings then compare two hosts as well as two builds.
+ *
  * Exit codes: 0 clean, 2 regression(s), 1 usage/parse error.
  */
 
@@ -54,6 +58,13 @@ struct Metric
 };
 
 using MetricMap = std::map<std::string, Metric>;
+
+/** The host fields of a google-benchmark "context" (NaN: absent). */
+struct HostContext
+{
+    double num_cpus = NAN;
+    double mhz_per_cpu = NAN;
+};
 
 void
 addMetric(MetricMap &m, const std::string &name, double value)
@@ -129,8 +140,18 @@ extractSessionReport(const obs::JsonValue &doc, MetricMap &m)
     }
 }
 
+/** Number @p key of @p ctx, or NaN when absent. */
+double
+contextNumber(const obs::JsonValue *ctx, const char *key)
+{
+    const obs::JsonValue *v = ctx != nullptr ? ctx->find(key) : nullptr;
+    return v != nullptr && v->type == obs::JsonValue::Type::Number
+               ? v->number
+               : NAN;
+}
+
 bool
-loadMetrics(const std::string &path, MetricMap &m)
+loadMetrics(const std::string &path, MetricMap &m, HostContext &host)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is.is_open()) {
@@ -148,9 +169,12 @@ loadMetrics(const std::string &path, MetricMap &m)
     }
     const obs::JsonValue *benches = doc.find("benchmarks");
     if (benches != nullptr &&
-        benches->type == obs::JsonValue::Type::Array)
+        benches->type == obs::JsonValue::Type::Array) {
         extractGoogleBenchmark(doc, m);
-    else
+        const obs::JsonValue *ctx = doc.find("context");
+        host.num_cpus = contextNumber(ctx, "num_cpus");
+        host.mhz_per_cpu = contextNumber(ctx, "mhz_per_cpu");
+    } else
         extractSessionReport(doc, m);
     if (m.empty()) {
         std::cerr << "bench_diff: " << path
@@ -210,8 +234,20 @@ main(int argc, char **argv)
         return usage();
 
     MetricMap base, cur;
-    if (!loadMetrics(paths[0], base) || !loadMetrics(paths[1], cur))
+    HostContext base_host, cur_host;
+    if (!loadMetrics(paths[0], base, base_host) ||
+        !loadMetrics(paths[1], cur, cur_host))
         return 1;
+    // NaN (absent) never compares unequal here: both sides must have
+    // the field for a mismatch to be named.
+    const auto differs = [](double a, double b) { return a < b || a > b; };
+    if (differs(base_host.num_cpus, cur_host.num_cpus) ||
+        differs(base_host.mhz_per_cpu, cur_host.mhz_per_cpu))
+        std::cout << "bench_diff: host mismatch: baseline num_cpus "
+                  << base_host.num_cpus << " mhz_per_cpu "
+                  << base_host.mhz_per_cpu << ", current num_cpus "
+                  << cur_host.num_cpus << " mhz_per_cpu "
+                  << cur_host.mhz_per_cpu << "\n";
     if (!match.empty()) {
         auto filter = [&](MetricMap &m) {
             for (auto it = m.begin(); it != m.end();)

@@ -3,14 +3,15 @@
  * tie_cli — command-line front end for the library, the workflow a
  * deployment engineer would script:
  *
- *   tie_cli synth out.ttm --m 4,4,4 --n 4,8,8 --rank 4 [--seed 1]
+ *   tie_cli synth out.tie --m 4,4,4 --n 4,8,8 --rank 4 [--seed 1]
  *       create a random TT model (train-from-scratch stand-in)
- *   tie_cli decompose dense.f64 out.ttm --m .. --n .. --rank ..
+ *   tie_cli decompose dense.f64 out.tie --m .. --n .. --rank ..
  *       TT-SVD a dense row-major float64 weight file
- *   tie_cli info model.ttm
- *       shapes, compression, multiplication counts, SRAM fit
- *   tie_cli round in.ttm out.ttm --rank 2 [--eps 1e-4]
- *       re-rank an existing model (tt rounding)
+ *   tie_cli info model.tie
+ *       shapes, compression, multiplication counts, SRAM fit, and
+ *       the validated section table
+ *   tie_cli round in.tie out.tie --rank 2 [--eps 1e-4]
+ *       re-rank an existing one-layer model (tt rounding)
  *   tie_cli tune <out_dim> <in_dim> [--seed 1] [--ranks 1,2,4,8] ..
  *       rank/shape autotune: enumerate factorizations x ranks, prune
  *       with the cost model, train/evaluate survivors in parallel,
@@ -19,19 +20,21 @@
  *   tie_cli zoo-build <dir> [--budgets fast:0.25,accurate:0] ..
  *       tune the paper's four workload families and serialize each
  *       budget's winner as a .tie artifact + zoo.json manifest
- *   tie_cli simulate model.ttm [--npe 16 --nmac 16 --freq 1000]
+ *   tie_cli simulate model.tie [--npe 16 --nmac 16 --freq 1000]
  *                    [--batch 1] [--relu]
- *       run the cycle-accurate simulator, print the full report
- *   tie_cli serve-bench model.{ttm,tie} [--workers 1 --max-batch 8
+ *       run the cycle-accurate simulator on a one-layer model, print
+ *       the full report
+ *   tie_cli serve-bench model.tie [--workers 1 --max-batch 8
  *                    --timeout-us 200 --queue-cap 256] [--requests 256]
  *                    [--clients 4 | --qps Q] [--deadline-us D] [--seed]
  *       drive the dynamic-batching server with the closed-loop
  *       (--clients) or open-loop (--qps) load generator, verify every
  *       completed output bit-exactly, print the latency/SLO report
- *   tie_cli save-model out.tie (--from a.ttm[,b.ttm..] |
+ *   tie_cli save-model out.tie (--from a.tie[,b.tie..] |
  *                    --m .. --n .. [--rank r] [--seed s]) [--fxp]
- *       package a layer chain as a versioned .tie artifact
- *       (docs/serialization.md); --fxp embeds the quantized twin
+ *       package a layer chain (the inputs' f64 layers, concatenated)
+ *       as a versioned .tie artifact (docs/serialization.md); --fxp
+ *       embeds the quantized twin
  *   tie_cli cluster-bench model.tie [--replicas K] [--requests R]
  *                    [--chaos [--chaos-kills N]] [--p99-bound-us X]
  *       spawn K tie_worker processes, shard a closed-loop run across
@@ -40,8 +43,7 @@
  *       SIGKILLs and restarts replicas mid-load and asserts zero
  *       lost requests (docs/cluster.md)
  *
- * info and serve-bench sniff the artifact kind by magic, so both
- * accept legacy single-layer .ttm streams and .tie containers.
+ * Every model file read or written is a .tie artifact.
  *
  * Every command additionally accepts --stats-json[=path] and
  * --trace-out[=path] (or the TIE_STATS_JSON / TIE_TRACE environment
@@ -83,7 +85,6 @@
 #include "serve/model_registry.hh"
 #include "serve/server.hh"
 #include "tt/cost_model.hh"
-#include "tt/tt_io.hh"
 #include "tt/tt_round.hh"
 #include "tt/tt_svd.hh"
 #include "tune/autotune.hh"
@@ -165,16 +166,30 @@ configFrom(const Options &opt)
     return cfg;
 }
 
+/**
+ * The one layer of the .tie model at @p path, copied out; fatal() with
+ * @p usage when the model has any other number of layers.
+ */
+TtMatrix
+loadOneLayer(const std::string &path, const char *usage)
+{
+    const io::TieModel m = io::TieModel::load(path);
+    TIE_CHECK_ARG(m.layerCount() == 1, path, " has ", m.layerCount(),
+                  " layers; this command takes a one-layer model\n",
+                  usage);
+    return m.toTtMatrix(0);
+}
+
 int
 cmdSynth(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 1,
-                  "usage: tie_cli synth <out.ttm> --m .. --n .. "
+                  "usage: tie_cli synth <out.tie> --m .. --n .. "
                   "[--rank r] [--seed s]");
     TtLayerConfig cfg = configFrom(opt);
     Rng rng(std::stoull(opt.get("seed", "1")));
     TtMatrix tt = TtMatrix::random(cfg, rng);
-    saveTtMatrixFile(tt, opt.positional[0]);
+    io::saveTieModel(tt, opt.positional[0]);
     std::cout << "wrote " << opt.positional[0] << ": "
               << cfg.toString() << "\n";
     return 0;
@@ -184,7 +199,7 @@ int
 cmdDecompose(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 2,
-                  "usage: tie_cli decompose <dense.f64> <out.ttm> "
+                  "usage: tie_cli decompose <dense.f64> <out.tie> "
                   "--m .. --n .. [--rank r] [--eps e]");
     TtLayerConfig cfg = configFrom(opt);
 
@@ -198,7 +213,7 @@ cmdDecompose(const Options &opt)
 
     const double eps = std::stod(opt.get("eps", "0"));
     TtMatrix tt = ttSvdMatrix(w, cfg, eps);
-    saveTtMatrixFile(tt, opt.positional[1]);
+    io::saveTieModel(tt, opt.positional[1]);
 
     std::cout << "wrote " << opt.positional[1] << ": "
               << tt.config().toString() << "\nreconstruction error "
@@ -223,12 +238,15 @@ cmdSaveModel(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 1,
                   "usage: tie_cli save-model <out.tie> "
-                  "(--from a.ttm[,b.ttm..] | --m .. --n .. [--rank r] "
+                  "(--from a.tie[,b.tie..] | --m .. --n .. [--rank r] "
                   "[--seed s]) [--fxp]");
     std::vector<TtMatrix> layers;
     if (opt.has("from")) {
-        for (const std::string &p : splitCsv(opt.get("from")))
-            layers.push_back(loadTtMatrixFile(p));
+        for (const std::string &p : splitCsv(opt.get("from"))) {
+            const io::TieModel m = io::TieModel::load(p);
+            for (size_t i = 0; i < m.layerCount(); ++i)
+                layers.push_back(m.toTtMatrix(i));
+        }
         TIE_CHECK_ARG(!layers.empty(), "--from lists no files");
     } else {
         TtLayerConfig cfg = configFrom(opt);
@@ -272,8 +290,11 @@ crcHex(uint32_t crc)
 }
 
 int
-infoTie(const std::string &path)
+cmdInfo(const Options &opt)
 {
+    TIE_CHECK_ARG(opt.positional.size() == 1,
+                  "usage: tie_cli info <model.tie>");
+    const std::string &path = opt.positional[0];
     io::TieModel m = io::TieModel::load(path);
     TextTable t(path);
     t.header({"property", "value"});
@@ -287,6 +308,30 @@ infoTie(const std::string &path)
         t.row({"layer " + std::to_string(i),
                m.config(i).toString()});
     t.print();
+
+    // Per layer: what the paper's cost model and the engine's 16 KB
+    // weight / 384 KB working SRAM budgets say about it.
+    for (size_t i = 0; i < m.layerCount(); ++i) {
+        const TtLayerConfig &cfg = m.config(i);
+        TextTable lt("layer " + std::to_string(i));
+        lt.header({"property", "value"});
+        lt.row({"compression",
+                TextTable::ratio(cfg.compressionRatio(), 1)});
+        lt.row({"mults (naive, Eqn. 3)", std::to_string(multNaive(cfg))});
+        lt.row({"mults (compact)", std::to_string(multCompact(cfg))});
+        lt.row({"mults (minimum, Eqn. 7)",
+                std::to_string(multTheoreticalMin(cfg))});
+        const double wkb = cfg.ttParamCount() * 2.0 / 1024.0;
+        const double ikb = workingBufferElems(cfg) * 2.0 / 1024.0;
+        lt.row({"weight footprint",
+                TextTable::num(wkb, 2) + " KB" +
+                    (wkb <= 16 ? " (fits 16 KB)" : " (exceeds 16 KB)")});
+        lt.row({"peak intermediate",
+                TextTable::num(ikb, 1) + " KB" +
+                    (ikb <= 384 ? " (fits 384 KB)"
+                                : " (exceeds 384 KB)")});
+        lt.print();
+    }
 
     // The full validated section table — every row already passed the
     // loader's bounds and CRC checks, so this doubles as an integrity
@@ -309,49 +354,17 @@ infoTie(const std::string &path)
 }
 
 int
-cmdInfo(const Options &opt)
-{
-    TIE_CHECK_ARG(opt.positional.size() == 1,
-                  "usage: tie_cli info <model.{ttm,tie}>");
-    if (io::isTieArtifact(opt.positional[0]))
-        return infoTie(opt.positional[0]);
-    TtMatrix tt = loadTtMatrixFile(opt.positional[0]);
-    const TtLayerConfig &cfg = tt.config();
-
-    TextTable t(opt.positional[0]);
-    t.header({"property", "value"});
-    t.row({"config", cfg.toString()});
-    t.row({"dense params", std::to_string(cfg.denseParamCount())});
-    t.row({"TT params", std::to_string(cfg.ttParamCount())});
-    t.row({"compression", TextTable::ratio(cfg.compressionRatio(), 1)});
-    t.row({"mults (naive, Eqn. 3)", std::to_string(multNaive(cfg))});
-    t.row({"mults (compact)", std::to_string(multCompact(cfg))});
-    t.row({"mults (minimum, Eqn. 7)",
-           std::to_string(multTheoreticalMin(cfg))});
-    const double wkb = cfg.ttParamCount() * 2.0 / 1024.0;
-    const double ikb = workingBufferElems(cfg) * 2.0 / 1024.0;
-    t.row({"weight footprint", TextTable::num(wkb, 2) + " KB" +
-                                   (wkb <= 16 ? " (fits 16 KB)"
-                                              : " (exceeds 16 KB)")});
-    t.row({"peak intermediate", TextTable::num(ikb, 1) + " KB" +
-                                    (ikb <= 384 ? " (fits 384 KB)"
-                                                : " (exceeds 384 KB)")});
-    t.print();
-    return 0;
-}
-
-int
 cmdRound(const Options &opt)
 {
-    TIE_CHECK_ARG(opt.positional.size() == 2,
-                  "usage: tie_cli round <in.ttm> <out.ttm> --rank r "
-                  "[--eps e]");
-    TtMatrix tt = loadTtMatrixFile(opt.positional[0]);
+    const char *usage = "usage: tie_cli round <in.tie> <out.tie> --rank r "
+                        "[--eps e]";
+    TIE_CHECK_ARG(opt.positional.size() == 2, usage);
+    TtMatrix tt = loadOneLayer(opt.positional[0], usage);
     const size_t rank =
         static_cast<size_t>(std::stoul(opt.get("rank", "4")));
     const double eps = std::stod(opt.get("eps", "0"));
     TtMatrix rounded = ttRound(tt, rank, eps);
-    saveTtMatrixFile(rounded, opt.positional[1]);
+    io::saveTieModel(rounded, opt.positional[1]);
     std::cout << "rounded " << tt.config().toString() << "\n  ->    "
               << rounded.config().toString() << "\n";
     return 0;
@@ -360,11 +373,11 @@ cmdRound(const Options &opt)
 int
 cmdSimulate(const Options &opt)
 {
-    TIE_CHECK_ARG(opt.positional.size() == 1,
-                  "usage: tie_cli simulate <model.ttm> [--npe N] "
-                  "[--nmac M] [--freq MHz] [--batch B] [--relu] "
-                  "[--seed s]");
-    TtMatrix tt = loadTtMatrixFile(opt.positional[0]);
+    const char *usage = "usage: tie_cli simulate <model.tie> [--npe N] "
+                        "[--nmac M] [--freq MHz] [--batch B] [--relu] "
+                        "[--seed s]";
+    TIE_CHECK_ARG(opt.positional.size() == 1, usage);
+    TtMatrix tt = loadOneLayer(opt.positional[0], usage);
 
     TieArchConfig cfg;
     cfg.n_pe = static_cast<size_t>(std::stoul(opt.get("npe", "16")));
@@ -604,7 +617,7 @@ int
 cmdServeBench(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 1,
-                  "usage: tie_cli serve-bench <model.{ttm,tie}>"
+                  "usage: tie_cli serve-bench <model.tie>"
                   " [--workers W]"
                   " [--max-batch B] [--timeout-us T] [--queue-cap C]"
                   " [--requests R] [--clients K | --qps Q]"
@@ -612,12 +625,10 @@ cmdServeBench(const Options &opt)
                   " [--metrics-port P] [--metrics-snapshot FILE]"
                   " [--metrics-linger-ms L]");
 
-    // Either artifact kind serves through the same view chain; the
-    // ServableModel owns the backing (matrix or mapping) and must
-    // outlive the server.
-    const serve::ServableModel model =
-        serve::loadServable(opt.positional[0]);
-    const std::vector<TtLayerViewD> &views = model.views;
+    // The views alias the mapping, so the model must outlive the
+    // server.
+    const io::TieModel model = io::TieModel::load(opt.positional[0]);
+    const std::vector<TtLayerViewD> views = model.layers();
 
     serve::ServerOptions sopts;
     sopts.workers =
@@ -1018,9 +1029,12 @@ cmdClusterBench(const Options &opt)
         " [--queue-cap Q] [--chaos] [--chaos-kills N]"
         " [--p99-bound-us X] [--worker-bin PATH] [--sock-dir DIR]");
     const std::string &model_path = opt.positional[0];
-    TIE_CHECK_ARG(io::isTieArtifact(model_path),
-                  "cluster-bench serves .tie artifacts (workers load "
-                  "the file themselves); got ", model_path);
+    // The single-process oracle's model: the same artifact the
+    // workers load for themselves.
+    io::TieModel artifact;
+    std::string load_err;
+    TIE_CHECK_ARG(io::TieModel::tryLoad(model_path, &artifact, &load_err),
+                  "cluster-bench serves .tie artifacts: ", load_err);
 
     const size_t replicas =
         static_cast<size_t>(std::stoul(opt.get("replicas", "2")));
@@ -1052,7 +1066,6 @@ cmdClusterBench(const Options &opt)
     // The single-process oracle: the same seeded request stream
     // through the same artifact, batch-1. Every Done output from any
     // replica must match these bits exactly.
-    io::TieModel artifact = io::TieModel::load(model_path);
     const serve::LaneOutputs expected = {serve::referenceOutputs(
         artifact.layers(), lopts.seed, lopts.requests)};
 
@@ -1345,12 +1358,12 @@ usage()
 {
     std::cout
         << "tie_cli — TT-format model tool\n"
-           "  synth <out.ttm> --m 4,4,4 --n 4,8,8 [--rank 4] [--seed]\n"
-           "  decompose <dense.f64> <out.ttm> --m .. --n .. [--rank]\n"
-           "  save-model <out.tie> (--from a.ttm[,b.ttm..] |"
+           "  synth <out.tie> --m 4,4,4 --n 4,8,8 [--rank 4] [--seed]\n"
+           "  decompose <dense.f64> <out.tie> --m .. --n .. [--rank]\n"
+           "  save-model <out.tie> (--from a.tie[,b.tie..] |"
            " --m .. --n ..) [--fxp]\n"
-           "  info <model.{ttm,tie}>\n"
-           "  round <in.ttm> <out.ttm> --rank r [--eps e]\n"
+           "  info <model.tie>\n"
+           "  round <in.tie> <out.tie> --rank r [--eps e]\n"
            "  tune <out_dim> <in_dim> [--seed][--min-d][--max-d]"
            "[--ranks 1,2,4,8]\n"
            "              [--min-compression][--max-mults]"
@@ -1368,9 +1381,9 @@ usage()
            "              [--no-fxp] + tune knobs\n"
            "              build the per-budget .tie model zoo + "
            "zoo.json manifest\n"
-           "  simulate <model.ttm> [--npe][--nmac][--freq][--batch]"
+           "  simulate <model.tie> [--npe][--nmac][--freq][--batch]"
            "[--relu]\n"
-           "  serve-bench <model.{ttm,tie}> [--workers][--max-batch]"
+           "  serve-bench <model.tie> [--workers][--max-batch]"
            "[--timeout-us]\n"
            "              [--queue-cap][--requests][--clients|--qps]"
            "[--deadline-us]\n"
