@@ -451,10 +451,10 @@ void
 BM_GemmGatheredF32_Packed(benchmark::State &state, simd::Isa isa)
 {
     // A gathered B operand (8 batch blocks, random offsets) through
-    // the pack-then-dense panel path (gemm::gemmPackedGatheredBlocked's
-    // inner loop, with the ISA explicit): gather each kColBlock-wide
-    // panel of virtual B into contiguous scratch, then run the packed
-    // microkernel on it.
+    // the fused-stage driver (gemm::gatheredPanels, as
+    // gemm::gemmPackedGatheredBlocked runs it, with the ISA explicit):
+    // gather each kColBlock-wide panel of virtual B into contiguous
+    // scratch, then run the packed microkernel on it.
     Rng rng(12);
     const size_t cols_out = kIsaN / 8; // 8 batch blocks
     MatrixF a(kIsaM, kIsaK), v(kIsaK, kIsaN), c(kIsaM, kIsaN);
@@ -464,33 +464,24 @@ BM_GemmGatheredF32_Packed(benchmark::State &state, simd::Isa isa)
     for (auto &o : offset)
         o = static_cast<size_t>(
             rng.intIn(0, static_cast<int64_t>(kIsaK * cols_out) - 1));
-    const size_t block_stride = kIsaK * cols_out;
+    gemm::GatherB g;
+    g.offset = offset.data();
+    g.cols_out = cols_out;
+    g.block_stride = kIsaK * cols_out;
+    g.batch = 8;
     std::vector<float> pa(pack::packedAElems(kIsaM, kIsaK));
     pack::packA(kIsaM, kIsaK, a.data(), pa.data());
     std::vector<float> bscratch(kIsaK * gemm::kColBlock);
     for (auto _ : state) {
         c.fill(0.0f);
-        for (size_t p0 = 0; p0 < kIsaN; p0 += gemm::kColBlock) {
-            const size_t p1 = std::min(kIsaN, p0 + gemm::kColBlock);
-            const size_t w = p1 - p0;
-            for (size_t kk = 0; kk < kIsaK; ++kk) {
-                const size_t *off = offset.data() + kk * cols_out;
-                float *dst = bscratch.data() + kk * w;
-                size_t q = p0 % cols_out;
-                const float *vb =
-                    v.data() + (p0 / cols_out) * block_stride;
-                for (size_t jj = 0; jj < w; ++jj) {
-                    dst[jj] = vb[off[q]];
-                    if (++q == cols_out) {
-                        q = 0;
-                        vb += block_stride;
-                    }
-                }
-            }
-            simd::gemmPackedF32(isa, false, kIsaK, pa.data(),
-                                bscratch.data(), w, c.data() + p0,
-                                kIsaN, 0, kIsaM, 0, w);
-        }
+        gemm::gatheredPanels(
+            kIsaM, kIsaK, v.data(), g, bscratch.data(),
+            [&](const float *panel, size_t w, size_t p0, size_t i0,
+                size_t i1) {
+                simd::gemmPackedF32(isa, false, kIsaK, pa.data(), panel,
+                                    w, c.data() + p0, kIsaN, i0, i1, 0,
+                                    w);
+            });
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);
@@ -508,8 +499,8 @@ BM_FxpMatmul_Isa(benchmark::State &state, simd::Isa isa)
     auto x = quantizeMatrix(xf, fmt.act_in);
     Matrix<int16_t> out(kIsaM, kIsaN);
     for (auto _ : state) {
-        fxpBlock(isa, kIsaK, kIsaN, w.data(), x.data(), fmt, out.data(),
-                 0, kIsaM, 0, kIsaN);
+        fxpBlock(isa, kIsaK, w.data(), x.data(), kIsaN, fmt, out.data(),
+                 kIsaN, 0, kIsaM, 0, kIsaN);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);

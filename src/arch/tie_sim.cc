@@ -2,6 +2,7 @@
 
 #include "arch/program.hh"
 #include "arch/stats_io.hh"
+#include "tt/cost_model.hh"
 
 namespace tie {
 
@@ -264,14 +265,8 @@ TieSimulator::runNetwork(const std::vector<NetworkLayer> &net,
     // TT-DNN models"): check the combined interleaved footprint.
     {
         size_t total_words = 0;
-        for (const NetworkLayer &l : net) {
-            const TtLayerConfig &c = l.weights->config;
-            for (size_t h = 1; h <= c.d(); ++h) {
-                const size_t blocks =
-                    (c.coreRows(h) + cfg_.n_mac - 1) / cfg_.n_mac;
-                total_words += blocks * c.coreCols(h) * cfg_.n_mac;
-            }
-        }
+        for (const NetworkLayer &l : net)
+            total_words += weightSramWords(l.weights->config, cfg_.n_mac);
         TIE_CHECK_ARG(total_words * 2 <= cfg_.weight_sram_bytes,
                       "network needs ", total_words * 2,
                       " B of weight SRAM for all layers but only ",

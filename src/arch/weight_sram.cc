@@ -1,5 +1,7 @@
 #include "arch/weight_sram.hh"
 
+#include "tt/cost_model.hh"
+
 namespace tie {
 
 WeightSram::WeightSram(size_t capacity_bytes, size_t n_mac)
@@ -17,7 +19,11 @@ WeightSram::loadLayer(const TtMatrixFxp &tt)
     core_cols_.assign(dd, 0);
     core_row_blocks_.assign(dd, 0);
 
-    // Compute the interleaved footprint first.
+    const size_t words = weightSramWords(tt.config, n_mac_);
+    TIE_CHECK_ARG(words <= bank_.words(),
+                  "layer needs ", words * 2, " B of weight SRAM but only ",
+                  bank_.words() * 2, " B are available — increase "
+                  "weight_sram_bytes or reduce TT ranks");
     size_t offset = 0;
     for (size_t h = 1; h <= dd; ++h) {
         const auto &g = tt.cores[h - 1];
@@ -28,11 +34,7 @@ WeightSram::loadLayer(const TtMatrixFxp &tt)
         core_row_blocks_[h - 1] = blocks;
         offset += blocks * g.cols() * n_mac_;
     }
-    TIE_CHECK_ARG(offset <= bank_.words(),
-                  "layer needs ", offset * 2, " B of weight SRAM but only ",
-                  bank_.words() * 2, " B are available — increase "
-                  "weight_sram_bytes or reduce TT ranks");
-    words_used_ = offset;
+    words_used_ = words;
 
     bank_.clear();
     for (size_t h = 1; h <= dd; ++h) {

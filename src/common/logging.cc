@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "common/thread_pool.hh"
+
 namespace tie {
 
 namespace {
@@ -81,6 +83,14 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     writeLine(stderr, strCat("fatal: ", msg, "\n  at ", file, ":", line,
                              "\n"));
+    // Inside a parallelFor body, std::exit's static destructors would
+    // join the pool from one of its own threads (std::terminate) or
+    // while other chunks still run: flush stdio and end the process
+    // without them.
+    if (inParallelRegion()) {
+        std::fflush(nullptr);
+        std::_Exit(1);
+    }
     std::exit(1);
 }
 

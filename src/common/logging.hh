@@ -36,7 +36,11 @@ bool logLevelEnabled(LogLevel lvl);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Terminate with a user-error diagnostic (calls std::exit(1)). */
+/**
+ * Terminate with a user-error diagnostic and exit code 1 — from any
+ * thread, a thread-pool worker included (std::_Exit inside a
+ * parallelFor body, std::exit elsewhere).
+ */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 

@@ -103,10 +103,17 @@ ThreadPool::setThreadCount(size_t n)
 void
 ThreadPool::startWorkers(size_t n_workers)
 {
-    stop_ = false;
+    // New workers wait for the next job; replaying the last one made
+    // workers_done_ overshoot, and the caller's wait then hung.
+    uint64_t gen = 0;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_ = false;
+        gen = job_generation_;
+    }
     workers_.reserve(n_workers);
     for (size_t i = 0; i < n_workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this, gen] { workerLoop(gen); });
 }
 
 void
@@ -123,10 +130,9 @@ ThreadPool::stopWorkers()
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::workerLoop(uint64_t seen)
 {
     t_in_parallel_region = true;
-    uint64_t seen = 0;
     for (;;) {
         {
             std::unique_lock<std::mutex> lk(mu_);
@@ -249,6 +255,12 @@ void
 parallelFor(size_t begin, size_t end, size_t grain, LoopBody body)
 {
     ThreadPool::instance().parallelFor(begin, end, grain, body);
+}
+
+bool
+inParallelRegion()
+{
+    return t_in_parallel_region;
 }
 
 } // namespace tie

@@ -100,7 +100,7 @@ class ThreadPool
 
     void startWorkers(size_t n_workers);
     void stopWorkers();
-    void workerLoop();
+    void workerLoop(uint64_t seen);
     void runChunks();
 
     size_t n_threads_ = 1;
@@ -143,6 +143,12 @@ void setThreadCount(size_t n);
 
 /** Chunked parallel loop on the global pool (see ThreadPool). */
 void parallelFor(size_t begin, size_t end, size_t grain, LoopBody body);
+
+/**
+ * True while the calling thread runs a parallelFor body (always on a
+ * pool worker); fatal() then skips the static destructors (logging.cc).
+ */
+bool inParallelRegion();
 
 } // namespace tie
 

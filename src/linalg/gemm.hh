@@ -30,6 +30,7 @@
 #include <type_traits>
 
 #include "common/thread_pool.hh"
+#include "linalg/pack.hh"
 #include "linalg/simd.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
@@ -186,22 +187,67 @@ gemmPackedBlocked(size_t m, size_t n, size_t k, const T *pa,
 }
 
 /**
- * C = packedA * gather(B) (C zero-initialised, m x cols_out*batch
- * row-major). Instead of feeding the indirect per-element read to the
- * GEMM (which defeats vectorization — the regression that made fused
- * lose to materialized on wide stages, docs/performance.md), each
- * kColBlock-wide panel of the gathered
- * virtual B is first packed contiguously into @p bscratch (k x panel
- * width, caller-owned, >= k * kColBlock elements, reused across
- * panels and calls), then the dense packed microkernel consumes it.
- * One sequential pass per element replaces k indirect reads per
- * column.
+ * The fused-stage driver of every dtype: out = A * gather(B), n =
+ * g.cols_out * g.batch columns. Each kColBlock-wide panel of the
+ * virtual B is gathered contiguously into @p bscratch (k x w, caller
+ * owned, >= k * min(n, kColBlock) elements), then
+ * @p tile(panel, w, p0, i0, i1) computes output rows [i0, i1) of
+ * columns [p0, p0 + w) as a dense product over it — one sequential
+ * pass per element instead of an indirect read per output row, which
+ * defeats vectorization (docs/performance.md).
  *
- * The panel loop is serial (one shared scratch); the gather pass and
- * the microkernel parallelise inside each panel, partitioned over
- * disjoint output/scratch ranges, so results are bit-identical for
- * every thread count — and, with @p fast false, to materializing the
- * permutation and running the scalar simd::gemmRefF32/F64 chain.
+ * The panel loop is serial (one shared scratch); the gather and the
+ * tiles parallelise inside each panel over disjoint rows (tile rows in
+ * kRowBlock chunks, a multiple of pack::kRowPanel as the packed
+ * microkernel needs), and each output element keeps one ascending-k
+ * chain, so results are bit-identical for every thread count and to
+ * materializing B.
+ */
+template <typename T, typename Tile>
+void
+gatheredPanels(size_t m, size_t k, const T *v, const GatherB &g,
+               T *bscratch, const Tile &tile)
+{
+    const size_t n = g.cols_out * g.batch;
+    for (size_t p0 = 0; p0 < n; p0 += kColBlock) {
+        const size_t w = std::min(n, p0 + kColBlock) - p0;
+        auto gatherRows = [&](size_t klo, size_t khi) {
+            for (size_t kk = klo; kk < khi; ++kk) {
+                const size_t *off = g.offset + kk * g.cols_out;
+                T *dst = bscratch + kk * w;
+                size_t q = p0 % g.cols_out;
+                const T *vb =
+                    v + (p0 / g.cols_out) * g.block_stride;
+                for (size_t jj = 0; jj < w; ++jj) {
+                    dst[jj] = vb[off[q]];
+                    if (++q == g.cols_out) {
+                        q = 0;
+                        vb += g.block_stride;
+                    }
+                }
+            }
+        };
+        if (k * w < kParallelMinWork)
+            gatherRows(0, k);
+        else
+            parallelFor(0, k, 0, gatherRows);
+        pack::addPackStats(1, k * w * sizeof(T));
+        auto rows = [&](size_t i0, size_t i1) {
+            obs::HostSpan span("gemm.tile");
+            tile(bscratch, w, p0, i0, i1);
+        };
+        if (m * w * k < kParallelMinWork)
+            rows(0, m);
+        else
+            parallelFor(0, m, kRowBlock, rows);
+    }
+}
+
+/**
+ * C = packedA * gather(B) (C zero-initialised, m x cols_out*batch
+ * row-major): gatheredPanels over the packed microkernel, so with
+ * @p fast false it is bit-identical to the scalar simd::gemmRefF32/F64
+ * chain on the materialized B.
  */
 template <typename T>
 void
@@ -220,45 +266,13 @@ gemmPackedGatheredBlocked(size_t m, size_t k, const T *pa, const T *v,
     }
     obs::ScopedTimer timer(KernelStats::get().gemm_us);
     obs::HostSpan span("gemm.packed_gathered");
-    for (size_t p0 = 0; p0 < n; p0 += kColBlock) {
-        const size_t p1 = std::min(n, p0 + kColBlock);
-        const size_t w = p1 - p0;
-        auto packRows = [&](size_t klo, size_t khi) {
-            for (size_t kk = klo; kk < khi; ++kk) {
-                const size_t *off = g.offset + kk * g.cols_out;
-                T *dst = bscratch + kk * w;
-                size_t q = p0 % g.cols_out;
-                const T *vb =
-                    v + (p0 / g.cols_out) * g.block_stride;
-                for (size_t jj = 0; jj < w; ++jj) {
-                    dst[jj] = vb[off[q]];
-                    if (++q == g.cols_out) {
-                        q = 0;
-                        vb += g.block_stride;
-                    }
-                }
-            }
-        };
-        if (k * w < kParallelMinWork)
-            packRows(0, k);
-        else
-            parallelFor(0, k, 0, packRows);
-        if (obs::enabled()) {
-            KernelStats &ks = KernelStats::get();
-            ks.packed_panels.add();
-            ks.pack_bytes.add(k * w * sizeof(T));
-        }
-        T *cw = c + p0; // column window shares C's row stride n
-        auto compute = [&](size_t i0, size_t i1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmPackedTile(k, pa, bscratch, w, cw, n, fast, i0, i1, 0,
-                           w);
-        };
-        if (m * w * k < kParallelMinWork)
-            compute(0, m);
-        else
-            parallelFor(0, m, kRowBlock, compute);
-    }
+    gatheredPanels(m, k, v, g, bscratch,
+                   [&](const T *panel, size_t w, size_t p0, size_t i0,
+                       size_t i1) {
+                       // The column window shares C's row stride n.
+                       gemmPackedTile(k, pa, panel, w, c + p0, n, fast,
+                                      i0, i1, 0, w);
+                   });
 }
 
 /** y = A * x with A (m x n) row-major, parallelised over rows. */

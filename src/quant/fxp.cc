@@ -156,7 +156,7 @@ fxpMatmulRaw(size_t m, size_t k, size_t n, const int16_t *w,
     const simd::Isa isa = simd::activeIsa();
     countFxpCall(isa, fmt, m * k * n);
     auto block = [&](size_t i0, size_t i1, size_t j0, size_t j1) {
-        fxpBlock(isa, k, n, w, x, fmt, out, i0, i1, j0, j1);
+        fxpBlock(isa, k, w, x, n, fmt, out, n, i0, i1, j0, j1);
     };
     if (m * k * n < gemm::kParallelMinWork) {
         block(0, m, 0, n);
@@ -187,27 +187,21 @@ fxpChainBreak(const std::vector<MacFormat> &fmt)
 void
 fxpMatmulGathered(size_t m, size_t k, const int16_t *w, const int16_t *v,
                   const gemm::GatherB &g, const MacFormat &fmt,
-                  int16_t *out)
+                  int16_t *out, int16_t *bscratch)
 {
     const size_t n = g.cols_out * g.batch;
-    // Same partitioning and per-element MAC order as fxpMatmulRaw; the
-    // gathered operand read changes no result bit.
+    // The shared fused-stage driver gathers each kColBlock panel of the
+    // permuted operand; the dense chain then runs over it with
+    // fxpMatmulRaw's per-element MAC order, so no result bit changes.
     const simd::Isa isa = simd::activeIsa();
     countFxpCall(isa, fmt, m * k * n);
-    auto block = [&](size_t i0, size_t i1, size_t j0, size_t j1) {
-        fxpBlockGathered(isa, k, w, v, g, fmt, out, i0, i1, j0, j1);
-    };
-    if (m * k * n < gemm::kParallelMinWork) {
-        block(0, m, 0, n);
-    } else if (m >= n) {
-        parallelFor(0, m, gemm::kRowBlock, [&](size_t i0, size_t i1) {
-            block(i0, i1, 0, n);
+    gemm::gatheredPanels(
+        m, k, v, g, bscratch,
+        [&](const int16_t *panel, size_t pw, size_t p0, size_t i0,
+            size_t i1) {
+            fxpBlock(isa, k, w, panel, pw, fmt, out + p0, n, i0, i1, 0,
+                     pw);
         });
-    } else {
-        parallelFor(0, n, gemm::kColBlock, [&](size_t j0, size_t j1) {
-            block(0, m, j0, j1);
-        });
-    }
 }
 
 Matrix<int16_t>

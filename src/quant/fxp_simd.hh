@@ -11,7 +11,9 @@
  * the exact integer semantics of macProduct / accumulate /
  * requantizeAcc — so every ISA is bit-identical to the scalar chain by
  * construction, including remainder columns, which run the scalar
- * code.
+ * code. There is one kernel per ISA: a fused TT stage gathers its
+ * permuted operand into a contiguous panel first (gemm::gatheredPanels)
+ * and runs the same dense kernel over it.
  *
  * Lane math runs in 32-bit registers, which is exact only when the
  * intermediate |acc + product| cannot exceed int32 (fxpSimdEligible);
@@ -31,9 +33,6 @@
 namespace tie {
 
 struct MacFormat;
-namespace gemm {
-struct GatherB;
-}
 
 /**
  * True when @p fmt's MAC chain is exact in 32-bit lanes: accumulator
@@ -43,31 +42,24 @@ struct GatherB;
 bool fxpSimdEligible(const MacFormat &fmt);
 
 /**
- * True when fxpBlock / fxpBlockGathered run @p fmt's chain in SIMD
- * lanes on @p isa; false when they take the scalar chain (Isa::Scalar,
- * or a format fxpSimdEligible rejects).
+ * True when fxpBlock runs @p fmt's chain in SIMD lanes on @p isa;
+ * false when it takes the scalar chain (Isa::Scalar, or a format
+ * fxpSimdEligible rejects).
  */
 bool fxpRunsSimd(simd::Isa isa, const MacFormat &fmt);
 
 /**
- * out[i0:i1, j0:j1) of the m x n fixed-point GEMM out = w (m x k) *
- * x (k x n), all row-major int16 raw values — the block kernel behind
- * fxpMatmulRaw. Isa::Scalar (or an ineligible @p fmt) runs the
- * reference chain; every other ISA is bit-identical to it.
+ * out[i0:i1, j0:j1) of the fixed-point GEMM out = w (m x k) * x (k x n),
+ * all row-major int16 raw values, with x rows @p ldx and out rows
+ * @p ldo elements apart — the block kernel behind fxpMatmulRaw and,
+ * over gathered column panels, fxpMatmulGathered. Isa::Scalar (or an
+ * ineligible @p fmt) runs the reference chain; every other ISA is
+ * bit-identical to it.
  */
-void fxpBlock(simd::Isa isa, size_t k, size_t n, const int16_t *w,
-              const int16_t *x, const MacFormat &fmt, int16_t *out,
-              size_t i0, size_t i1, size_t j0, size_t j1);
-
-/**
- * Gathered-operand variant behind fxpMatmulGathered: the B operand is
- * read through the gemm::GatherB view @p g (the fused inter-stage
- * Transform of tt/infer_session). n is g.cols_out * g.batch.
- */
-void fxpBlockGathered(simd::Isa isa, size_t k, const int16_t *w,
-                      const int16_t *v, const gemm::GatherB &g,
-                      const MacFormat &fmt, int16_t *out, size_t i0,
-                      size_t i1, size_t j0, size_t j1);
+void fxpBlock(simd::Isa isa, size_t k, const int16_t *w,
+              const int16_t *x, size_t ldx, const MacFormat &fmt,
+              int16_t *out, size_t ldo, size_t i0, size_t i1, size_t j0,
+              size_t j1);
 
 } // namespace tie
 

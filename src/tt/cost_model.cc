@@ -88,6 +88,17 @@ workingBufferElems(const TtLayerConfig &cfg)
 }
 
 size_t
+weightSramWords(const TtLayerConfig &cfg, size_t n_mac)
+{
+    size_t words = 0;
+    for (size_t h = 1; h <= cfg.d(); ++h) {
+        const size_t blocks = (cfg.coreRows(h) + n_mac - 1) / n_mac;
+        words += blocks * cfg.coreCols(h) * n_mac;
+    }
+    return words;
+}
+
+size_t
 multDense(const TtLayerConfig &cfg)
 {
     return cfg.outSize() * cfg.inSize();

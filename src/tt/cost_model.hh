@@ -50,6 +50,14 @@ size_t multPartialParallel(const TtLayerConfig &cfg);
  */
 size_t workingBufferElems(const TtLayerConfig &cfg);
 
+/**
+ * 16-bit words the layer's cores occupy in the TIE weight SRAM
+ * (arch/weight_sram.hh): each core's rows are padded up to whole
+ * blocks of @p n_mac rows, and every column of a block is n_mac
+ * adjacent words. The footprint in bytes is twice this.
+ */
+size_t weightSramWords(const TtLayerConfig &cfg, size_t n_mac);
+
 /** Dense mat-vec multiplications M * N for reference. */
 size_t multDense(const TtLayerConfig &cfg);
 

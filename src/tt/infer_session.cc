@@ -203,6 +203,21 @@ checkCoreViews(const TtLayerConfig &c,
     }
 }
 
+/**
+ * Elements of the gathered-operand panel scratch (gemm::gatheredPanels):
+ * one kColBlock-wide panel of the widest fusable stage operand (stage
+ * h < d reads k = coreCols(h) rows). Sized at construction so fused
+ * runs never allocate.
+ */
+size_t
+gatherScratchElems(const TtLayerConfig &cfg)
+{
+    size_t max_k = 0;
+    for (size_t h = 1; h + 1 <= cfg.d(); ++h)
+        max_k = std::max(max_k, cfg.coreCols(h));
+    return max_k * gemm::kColBlock;
+}
+
 template <typename T>
 std::vector<CoreView<T>>
 viewsOf(const std::vector<const Matrix<T> *> &cores)
@@ -263,12 +278,7 @@ InferSessionT<T>::InferSessionT(TtLayerView<T> layer, SessionOptions opts)
     const TtLayerConfig &cfg = plan_.config();
     checkCoreViews(cfg, cores_);
     packCores();
-    // Gathered-B panel scratch: one kColBlock-wide panel of the widest
-    // fusable stage operand (stage h < d reads k = coreCols(h) rows).
-    size_t max_k = 0;
-    for (size_t h = 1; h + 1 <= cfg.d(); ++h)
-        max_k = std::max(max_k, cfg.coreCols(h));
-    bscratch_.resize(max_k * gemm::kColBlock);
+    bscratch_.resize(gatherScratchElems(cfg));
 }
 
 /**
@@ -533,6 +543,7 @@ InferSessionFxp::InferSessionFxp(TtFxpLayerView layer,
     TIE_CHECK_ARG(h == 0, "stage ", h,
                   " act_out format does not match stage ", h - 1,
                   " act_in format");
+    bscratch_.resize(gatherScratchElems(cfg));
 }
 
 void
@@ -641,7 +652,8 @@ InferSessionFxp::runInto(const Matrix<int16_t> &x, Matrix<int16_t> &y,
             gb.cols_out = spec.cols_out;
             gb.block_stride = spec.cols_in;
             gb.batch = batch;
-            fxpMatmulGathered(m, k, g.data, op, gb, fmt, out);
+            fxpMatmulGathered(m, k, g.data, op, gb, fmt, out,
+                              bscratch_.data());
         } else {
             fxpMatmulRaw(m, k, ncols, g.data, op, fmt, out);
         }

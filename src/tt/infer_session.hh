@@ -11,18 +11,19 @@
  * perform **zero heap allocations**: the arena, the per-stage gather
  * offset tables and the caller's output storage are all reused.
  *
- * The inter-stage Transform is a pure permutation, so by default it is
- * fused into the next stage's GEMM operand read (gemm::GatherB /
- * fxpMatmulGathered) and the transformed matrix is never materialized.
- * Fusion preserves the per-element k-loop order of the unfused kernels,
- * so results are bit-identical to compactInfer / compactInferFxp for
+ * The inter-stage Transform is a pure permutation, so it can be fused
+ * into the next stage's GEMM operand read (gemm::GatherB) instead of
+ * being materialized through the arena. Fused stages of every dtype
+ * run on gemm::gatheredPanels, which gathers one kColBlock-wide panel
+ * into session-owned scratch and runs the dense kernel over it. Fusion
+ * preserves the per-element k-loop order of the unfused kernels, so
+ * results are bit-identical to compactInfer / compactInferFxp for
  * every shape, batch and thread count — tests assert exact equality.
  *
  * Both the fused and materialized stage loops execute on the SIMD
- * kernel layer (linalg/simd.hh) through gemmPackedBlocked /
- * gemmPackedGatheredBlocked / fxpMatmulRaw / fxpMatmulGathered, so session
- * outputs are additionally bit-identical across dispatch ISAs
- * (TIE_SIMD); the active path is reported by the simd.isa gauge.
+ * kernel layer (linalg/simd.hh, quant/fxp_simd.hh), so session outputs
+ * are additionally bit-identical across dispatch ISAs (TIE_SIMD); the
+ * active path is reported by the simd.isa gauge.
  *
  * compactInfer, compactInferVec and compactInferFxp (tt_infer.hh) are
  * thin wrappers over a transient session; long-lived callers
@@ -42,13 +43,13 @@ namespace tie {
 
 /**
  * Inter-stage Transform execution policy. Fusing reads the permuted
- * operand directly out of the previous stage's buffer during the GEMM
- * (the TIE working-SRAM read scheme, no intermediate storage);
- * materializing copies it through the arena first — identical bits,
- * one extra memory pass, but a contiguous (vectorizable) B operand.
- * docs/performance.md measures the tradeoff: on host CPUs the
- * materialized path wins on wide stages because the indirect
- * per-element read defeats vectorization.
+ * operand out of the previous stage's buffer during the GEMM, one
+ * gathered column panel at a time (the TIE working-SRAM read scheme,
+ * no full intermediate); materializing copies the whole operand
+ * through the arena first — identical bits either way.
+ * docs/performance.md measures the tradeoff: the panel loop is serial,
+ * so on wide stages with several threads the materialized path can
+ * still win.
  */
 enum class FuseMode
 {
@@ -253,7 +254,7 @@ class InferSessionT
      * buffers are grow-only, so steady-state repacks never allocate.
      */
     std::vector<pack::AlignedBuf<T>> packed_;
-    /** Gathered-B panel scratch for gemm::gemmPackedGatheredBlocked. */
+    /** Gathered-operand panel scratch for gemm::gatheredPanels. */
     pack::AlignedBuf<T> bscratch_;
 
     bool has_batch_ = false;
@@ -315,6 +316,8 @@ class InferSessionFxp
     const TtMatrixFxp *bound_ = nullptr;
     SessionOptions opts_;
     FuseMode mode_ = FuseMode::Auto; ///< opts_.fuse resolved (never Env)
+    /** Gathered-operand panel scratch, as InferSessionT::bscratch_. */
+    pack::AlignedBuf<int16_t> bscratch_;
 
     bool has_batch_ = false;
     size_t batch_ = 0;

@@ -18,6 +18,17 @@ trap 'rm -rf "$DIR"' EXIT
 # decompose round trip through a raw dense file produced from a model.
 "$CLI" simulate "$DIR/a.tie" >/dev/null
 
+# info and simulate share one weight-SRAM footprint (rows padded to
+# whole n_mac blocks): this layer holds 15.05 KB of parameters, but its
+# padded cores need 16640 B, so both must report that it does not fit.
+"$CLI" synth "$DIR/w.tie" --m 3,30 --n 2,64 --rank 4 --seed 5
+"$CLI" info "$DIR/w.tie" | grep -q "16.25 KB (exceeds 16 KB)"
+if "$CLI" simulate "$DIR/w.tie" >/dev/null 2>"$DIR/err.txt"; then
+    echo "simulate accepted a layer that overflows the weight SRAM" >&2
+    exit 1
+fi
+grep -q "needs 16640 B" "$DIR/err.txt"
+
 # save-model --from concatenates the layers of its inputs; the
 # one-layer commands reject the resulting two-layer chain.
 "$CLI" synth "$DIR/c.tie" --m 4,6 --n 4,4 --rank 2 --seed 6

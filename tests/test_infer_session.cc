@@ -19,6 +19,7 @@
 
 #include "common/random.hh"
 #include "common/thread_pool.hh"
+#include "linalg/gemm.hh"
 #include "obs/stat_registry.hh"
 #include "tt/cost_model.hh"
 #include "tt/infer_session.hh"
@@ -177,12 +178,28 @@ TEST(InferSession, FxpBitIdenticalToReference)
 {
     ThreadCountGuard guard;
     Rng rng(7);
-    for (const TtLayerConfig &cfg : testConfigs()) {
+    // Beside the shared shapes, one layer whose fused stage 1 spans
+    // several gathered panels and ends in a partial one at b = 7, 64.
+    std::vector<TtLayerConfig> cfgs = testConfigs();
+    TtLayerConfig wide;
+    wide.m = {32, 37};
+    wide.n = {4, 4};
+    wide.r = {1, 8, 1};
+    cfgs.push_back(wide);
+    bool spans_partial_panel = false;
+    for (const TtLayerConfig &cfg : cfgs) {
         TtMatrix tt = TtMatrix::random(cfg, rng);
         TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
-        InferSessionFxp fused(fxp);
+        InferSessionFxp fused(fxp, SessionOptions{FuseMode::On});
         InferSessionFxp materialized(fxp, SessionOptions{FuseMode::Off});
+        InferSessionFxp automatic(fxp, SessionOptions{FuseMode::Auto});
         for (size_t batch : {size_t(1), size_t(7), size_t(64)}) {
+            for (size_t h = 1; h < cfg.d(); ++h) {
+                const size_t ncols = cfg.stageCols(h) * batch;
+                if (ncols > gemm::kColBlock &&
+                    ncols % gemm::kColBlock != 0)
+                    spans_partial_panel = true;
+            }
             MatrixF xf(cfg.inSize(), batch);
             xf.setUniform(rng);
             Matrix<int16_t> x = quantizeMatrix(xf, FxpFormat{16, 8});
@@ -197,11 +214,17 @@ TEST(InferSession, FxpBitIdenticalToReference)
                 Matrix<int16_t> ym;
                 materialized.runInto(x, ym);
                 EXPECT_TRUE(ym == ref) << "materialized path";
+                Matrix<int16_t> ya;
+                automatic.runInto(x, ya);
+                EXPECT_TRUE(ya == ref) << "auto path";
                 EXPECT_TRUE(compactInferFxp(fxp, x) == ref)
                     << "compactInferFxp wrapper";
             }
         }
     }
+    EXPECT_TRUE(spans_partial_panel)
+        << "no fused stage wider than kColBlock ending in a partial "
+           "panel was exercised";
 }
 
 TEST(InferSession, MatrixBackedSessionsTrackWeightUpdates)
@@ -386,7 +409,9 @@ TEST(InferSession, SteadyStateRunsDoNotHeapAllocate)
 
     // Same guarantee on the fixed-point datapath.
     TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
-    InferSessionFxp fsession(fxp);
+    // FuseMode::On: every stage takes the gathered-panel path, whose
+    // scratch the session sizes at construction.
+    InferSessionFxp fsession(fxp, SessionOptions{FuseMode::On});
     MatrixF xf(cfg.inSize(), batch);
     xf.setUniform(rng);
     Matrix<int16_t> xq = quantizeMatrix(xf, FxpFormat{16, 8});

@@ -3,15 +3,23 @@
  * The parallel execution layer: parallelFor index coverage under
  * adversarial chunk sizes, bit-identical matmul / matVec / fxpMatmul /
  * compactInfer results across thread counts (the determinism guarantee
- * of docs/performance.md), and regressions for the InferStats and
+ * of docs/performance.md), pool resizes between jobs, fatal() raised
+ * on a pool worker, and regressions for the InferStats and
  * relativeError fixes.
  */
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
+#include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "quant/fxp.hh"
 #include "tt/cost_model.hh"
@@ -151,6 +159,62 @@ TEST(ParallelFor, PropagatesBodyException)
             ++hits[i];
     });
     EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
+}
+
+TEST(ParallelForResize, NewWorkersWaitForTheNextJob)
+{
+    // Workers started by a resize used to replay the finished job and
+    // count themselves done twice, so a later parallelFor could wait
+    // forever. The loop runs in a child under an alarm: a hang fails
+    // the test (killed by SIGALRM) instead of stalling the suite.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            alarm(60);
+            for (int it = 0; it < 3000; ++it) {
+                setThreadCount(1);
+                setThreadCount(4);
+                std::vector<int> hits(64, 0);
+                parallelFor(0, 64, 1, [&](size_t lo, size_t hi) {
+                    for (size_t i = lo; i < hi; ++i)
+                        ++hits[i];
+                });
+                for (int h : hits)
+                    if (h != 1)
+                        std::_Exit(2);
+            }
+            std::_Exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ParallelForFatal, FatalOnAPoolWorkerExitsOneWithItsMessage)
+{
+    // A fatal() raised on a pool worker must end the process with its
+    // message and exit code 1. std::exit there ran ~ThreadPool on the
+    // worker, which then joined itself ("Resource deadlock avoided",
+    // std::terminate, exit 134). The caller's chunks wait until a
+    // worker has taken one, so the fatal always lands on a worker.
+    // "threadsafe" re-executes the binary, so the child starts its own
+    // pool rather than inheriting a forked copy without its threads.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setThreadCount(4);
+            const std::thread::id caller = std::this_thread::get_id();
+            std::atomic<bool> on_worker{false};
+            parallelFor(0, 64, 1, [&](size_t lo, size_t) {
+                if (std::this_thread::get_id() == caller) {
+                    while (!on_worker.load())
+                        std::this_thread::yield();
+                    return;
+                }
+                on_worker.store(true);
+                TIE_FATAL("chunk ", lo, " failed on a pool worker");
+            });
+        },
+        ::testing::ExitedWithCode(1),
+        "fatal: chunk [0-9]+ failed on a pool worker");
 }
 
 TEST(ParallelKernels, MatmulBitIdenticalAcrossThreadCounts)

@@ -441,12 +441,12 @@ checkFxpBitIdentity(const MacFormat &fmt, uint64_t seed)
         const auto w = randomI16(s.m * s.k, rng);
         const auto x = randomI16(s.k * s.n, rng);
         std::vector<int16_t> ref(s.m * s.n, 0);
-        fxpBlock(Isa::Scalar, s.k, s.n, w.data(), x.data(), fmt,
-                 ref.data(), 0, s.m, 0, s.n);
+        fxpBlock(Isa::Scalar, s.k, w.data(), x.data(), s.n, fmt,
+                 ref.data(), s.n, 0, s.m, 0, s.n);
         for (Isa isa : supportedIsas()) {
             std::vector<int16_t> out(s.m * s.n, 0);
-            fxpBlock(isa, s.k, s.n, w.data(), x.data(), fmt, out.data(),
-                     0, s.m, 0, s.n);
+            fxpBlock(isa, s.k, w.data(), x.data(), s.n, fmt, out.data(),
+                     s.n, 0, s.m, 0, s.n);
             EXPECT_EQ(out, ref)
                 << simd::isaName(isa) << " " << s.m << "x" << s.k << "x"
                 << s.n;
@@ -497,11 +497,11 @@ TEST(SimdFxp, UnalignedColumnWindowMatchesScalar)
     for (size_t j0 : {size_t(1), size_t(3), size_t(11)}) {
         const size_t j1 = n - 1;
         std::vector<int16_t> ref(m * n, 99), out(m * n, 99);
-        fxpBlock(Isa::Scalar, k, n, w.data(), x.data(), fmt, ref.data(),
-                 0, m, j0, j1);
+        fxpBlock(Isa::Scalar, k, w.data(), x.data(), n, fmt, ref.data(),
+                 n, 0, m, j0, j1);
         for (Isa isa : supportedIsas()) {
             std::fill(out.begin(), out.end(), int16_t(99));
-            fxpBlock(isa, k, n, w.data(), x.data(), fmt, out.data(),
+            fxpBlock(isa, k, w.data(), x.data(), n, fmt, out.data(), n,
                      0, m, j0, j1);
             EXPECT_EQ(out, ref) << simd::isaName(isa) << " j0=" << j0;
         }
@@ -510,10 +510,16 @@ TEST(SimdFxp, UnalignedColumnWindowMatchesScalar)
 
 TEST(SimdFxp, GatheredMatchesMaterializedOnEveryIsa)
 {
-    MacFormat fmt;
+    // The fused fxp stage gathers kColBlock-wide panels of the permuted
+    // operand (gemm::gatheredPanels) and runs the dense fxpBlock over
+    // them. n > kColBlock and n % kColBlock != 0, so the serial panel
+    // loop, the scratch reuse across panels and a partial last panel
+    // all run. The widening format takes the scalar chain on every ISA.
     Rng rng(0x9a7);
-    const size_t m = 3, k = 10, cols_out = 13, batch = 4;
+    const size_t m = 19, k = 10, cols_out = 13, batch = 24;
     const size_t n = cols_out * batch;
+    ASSERT_GT(n, gemm::kColBlock);
+    ASSERT_NE(n % gemm::kColBlock, 0u);
     const auto w = randomI16(m * k, rng);
     const auto v = randomI16(k * n, rng);
 
@@ -532,15 +538,38 @@ TEST(SimdFxp, GatheredMatchesMaterializedOnEveryIsa)
             for (size_t q = 0; q < cols_out; ++q)
                 xmat[kk * n + bb * cols_out + q] =
                     v[offset[kk * cols_out + q] + bb * g.block_stride];
-    std::vector<int16_t> ref(m * n, 0);
-    fxpBlock(Isa::Scalar, k, n, w.data(), xmat.data(), fmt, ref.data(),
-             0, m, 0, n);
 
-    for (Isa isa : supportedIsas()) {
+    MacFormat eligible;
+    MacFormat widen;
+    widen.act_out = FxpFormat{16, 14};
+    ASSERT_TRUE(fxpSimdEligible(eligible));
+    ASSERT_FALSE(fxpSimdEligible(widen));
+    std::vector<int16_t> bscratch(k * gemm::kColBlock);
+    for (const MacFormat *fmt : {&eligible, &widen}) {
+        std::vector<int16_t> ref(m * n, 0);
+        fxpBlock(Isa::Scalar, k, w.data(), xmat.data(), n, *fmt,
+                 ref.data(), n, 0, m, 0, n);
+
+        // The public entry, on the active ISA.
         std::vector<int16_t> out(m * n, 0);
-        fxpBlockGathered(isa, k, w.data(), v.data(), g, fmt, out.data(),
-                         0, m, 0, n);
-        EXPECT_EQ(out, ref) << simd::isaName(isa);
+        fxpMatmulGathered(m, k, w.data(), v.data(), g, *fmt, out.data(),
+                          bscratch.data());
+        EXPECT_EQ(out, ref) << "fxpMatmulGathered, eligible="
+                            << (fmt == &eligible);
+
+        // The same driver with each supported ISA's kernel.
+        for (Isa isa : supportedIsas()) {
+            std::fill(out.begin(), out.end(), int16_t(0));
+            gemm::gatheredPanels(
+                m, k, v.data(), g, bscratch.data(),
+                [&](const int16_t *panel, size_t pw, size_t p0,
+                    size_t i0, size_t i1) {
+                    fxpBlock(isa, k, w.data(), panel, pw, *fmt,
+                             out.data() + p0, n, i0, i1, 0, pw);
+                });
+            EXPECT_EQ(out, ref) << simd::isaName(isa) << " eligible="
+                                << (fmt == &eligible);
+        }
     }
 }
 
@@ -590,7 +619,7 @@ TEST(SimdFxp, MacCountersNameTheChainThatRan)
     g.cols_out = n;
     g.block_stride = k * n;
     g.batch = 1;
-    std::vector<int16_t> out(m * n);
+    std::vector<int16_t> out(m * n), bscratch(k * gemm::kColBlock);
 
     MacFormat eligible;
     MacFormat widen;
@@ -605,7 +634,8 @@ TEST(SimdFxp, MacCountersNameTheChainThatRan)
         const bool lanes = simd_isa && fmt == &eligible;
         reg.resetAll();
         fxpMatmul(w, x, *fmt);
-        fxpMatmulGathered(m, k, w.data(), x.data(), g, *fmt, out.data());
+        fxpMatmulGathered(m, k, w.data(), x.data(), g, *fmt, out.data(),
+                          bscratch.data());
         const uint64_t macs = 2 * m * k * n;
         EXPECT_EQ(reg.counter("fxp.simd_macs").value(), lanes ? macs : 0)
             << "eligible=" << (fmt == &eligible);

@@ -310,7 +310,9 @@ cmdInfo(const Options &opt)
     t.print();
 
     // Per layer: what the paper's cost model and the engine's 16 KB
-    // weight / 384 KB working SRAM budgets say about it.
+    // weight / 384 KB working SRAM budgets say about it. The weight
+    // footprint is the simulator's: rows padded to whole n_mac blocks.
+    const TieArchConfig arch;
     for (size_t i = 0; i < m.layerCount(); ++i) {
         const TtLayerConfig &cfg = m.config(i);
         TextTable lt("layer " + std::to_string(i));
@@ -321,11 +323,13 @@ cmdInfo(const Options &opt)
         lt.row({"mults (compact)", std::to_string(multCompact(cfg))});
         lt.row({"mults (minimum, Eqn. 7)",
                 std::to_string(multTheoreticalMin(cfg))});
-        const double wkb = cfg.ttParamCount() * 2.0 / 1024.0;
+        const size_t wbytes = weightSramWords(cfg, arch.n_mac) * 2;
         const double ikb = workingBufferElems(cfg) * 2.0 / 1024.0;
         lt.row({"weight footprint",
-                TextTable::num(wkb, 2) + " KB" +
-                    (wkb <= 16 ? " (fits 16 KB)" : " (exceeds 16 KB)")});
+                TextTable::num(wbytes / 1024.0, 2) + " KB" +
+                    (wbytes <= arch.weight_sram_bytes
+                         ? " (fits 16 KB)"
+                         : " (exceeds 16 KB)")});
         lt.row({"peak intermediate",
                 TextTable::num(ikb, 1) + " KB" +
                     (ikb <= 384 ? " (fits 384 KB)"
